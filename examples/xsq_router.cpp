@@ -13,8 +13,8 @@
 // RUNCACHED follow the document key's consistent-hash owner, STATS and
 // METRICS return the merged cluster view, and GET /metrics on the
 // router's port serves the merged exposition plus the router's own
-// xsq_router_* section. SUBSCRIBE/PUBLISH are per-shard and answered
-// with NotSupported.
+// xsq_router_* section. Shard-only verbs (SUBSCRIBE/UNSUBSCRIBE/
+// PUBLISH, REPLPULL; see net/verbs.h) are answered with NotSupported.
 //
 // Health: every --probe-interval-ms (±20% jitter) the router polls
 // each shard's GET /healthz; --probe-fail-threshold consecutive misses

@@ -30,28 +30,6 @@ bool ParseHealthName(std::string_view name, ShardHealth* out) {
   return false;
 }
 
-std::string_view TakeWord(std::string_view* rest) {
-  size_t space = rest->find(' ');
-  std::string_view word = rest->substr(0, space);
-  *rest = space == std::string_view::npos ? std::string_view()
-                                          : rest->substr(space + 1);
-  return word;
-}
-
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -179,12 +157,7 @@ Result<GossipDigest> GossipDigest::Parse(std::string_view text) {
   std::string_view body = text.substr(0, crc_pos);
   size_t shard_count = 0;
   bool seen_header = false;
-  size_t begin = 0;
-  while (begin < body.size()) {
-    size_t end = body.find('\n', begin);
-    if (end == std::string_view::npos) end = body.size();
-    std::string_view line = body.substr(begin, end - begin);
-    begin = end + 1;
+  for (std::string_view line : Split(body, '\n')) {
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (!seen_header) {
@@ -196,11 +169,11 @@ Result<GossipDigest> GossipDigest::Parse(std::string_view text) {
           shards_field.rfind("shards=", 0) != 0) {
         return Status::ParseError("gossip digest bad header");
       }
-      uint64_t n = 0;
-      if (!ParseU64(shards_field.substr(7), &n) || n > 4096) {
+      std::optional<uint64_t> n = ParseUint64(shards_field.substr(7));
+      if (!n.has_value() || *n > 4096) {
         return Status::ParseError("gossip digest bad shard count");
       }
-      shard_count = static_cast<size_t>(n);
+      shard_count = static_cast<size_t>(*n);
       digest.shards.resize(shard_count);
       seen_header = true;
       continue;
@@ -208,26 +181,23 @@ Result<GossipDigest> GossipDigest::Parse(std::string_view text) {
     std::string_view rest = line;
     std::string_view tag = TakeWord(&rest);
     if (tag == "S") {
-      uint64_t index = 0;
-      uint64_t epoch = 0;
+      std::optional<uint64_t> index = ParseUint64(TakeWord(&rest));
+      std::optional<uint64_t> epoch = ParseUint64(TakeWord(&rest));
       ShardHealth health;
-      if (!ParseU64(TakeWord(&rest), &index) || index >= shard_count ||
-          !ParseU64(TakeWord(&rest), &epoch) ||
+      if (!index.has_value() || *index >= shard_count ||
+          !epoch.has_value() ||
           !ParseHealthName(TakeWord(&rest), &health) || !rest.empty()) {
         return Status::ParseError("gossip digest bad shard line");
       }
-      digest.shards[static_cast<size_t>(index)] = ShardEntry{epoch, health};
+      digest.shards[static_cast<size_t>(*index)] = ShardEntry{*epoch, health};
     } else if (tag == "K") {
-      uint64_t epoch = 0;
-      std::string_view deleted = "?";
-      if (!ParseU64(TakeWord(&rest), &epoch)) {
+      std::optional<uint64_t> epoch = ParseUint64(TakeWord(&rest));
+      std::string_view deleted = TakeWord(&rest);
+      if (!epoch.has_value() || (deleted != "0" && deleted != "1") ||
+          rest.empty()) {
         return Status::ParseError("gossip digest bad key line");
       }
-      deleted = TakeWord(&rest);
-      if ((deleted != "0" && deleted != "1") || rest.empty()) {
-        return Status::ParseError("gossip digest bad key line");
-      }
-      digest.keys[LineUnescape(rest)] = KeyEntry{epoch, deleted == "1"};
+      digest.keys[LineUnescape(rest)] = KeyEntry{*epoch, deleted == "1"};
     } else {
       return Status::ParseError("gossip digest unknown line tag '" +
                                 std::string(tag) + "'");

@@ -1,33 +1,30 @@
 #include "common/status.h"
 
+#include <iterator>
+
 namespace xsq {
 
+namespace {
+
+constexpr const char* kCodeNames[] = {
+    "OK",
+#define XSQ_STATUS_NAME(name) #name,
+    XSQ_ERROR_CODES(XSQ_STATUS_NAME)
+#undef XSQ_STATUS_NAME
+};
+
+}  // namespace
+
 const char* StatusCodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "OK";
-    case StatusCode::kInvalidArgument:
-      return "InvalidArgument";
-    case StatusCode::kParseError:
-      return "ParseError";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
-    case StatusCode::kInternal:
-      return "Internal";
-    case StatusCode::kCancelled:
-      return "Cancelled";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-    case StatusCode::kLimitExceeded:
-      return "LimitExceeded";
-    case StatusCode::kDataCorruption:
-      return "DataCorruption";
+  size_t index = static_cast<size_t>(code);
+  return index < std::size(kCodeNames) ? kCodeNames[index] : "Unknown";
+}
+
+std::optional<StatusCode> StatusCodeFromName(std::string_view name) {
+  for (size_t i = 1; i < std::size(kCodeNames); ++i) {
+    if (name == kCodeNames[i]) return static_cast<StatusCode>(i);
   }
-  return "Unknown";
+  return std::nullopt;
 }
 
 std::string Status::ToString() const {

@@ -15,6 +15,26 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s.substr(begin, end - begin);
 }
 
+std::optional<uint64_t> ParseUint64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::string_view TakeWord(std::string_view* rest) {
+  size_t space = rest->find(' ');
+  std::string_view word = rest->substr(0, space);
+  *rest = space == std::string_view::npos ? std::string_view()
+                                          : rest->substr(space + 1);
+  return word;
+}
+
 std::optional<double> ParseNumber(std::string_view s) {
   std::string_view t = TrimWhitespace(s);
   if (t.empty()) return std::nullopt;

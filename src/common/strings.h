@@ -19,6 +19,14 @@ namespace xsq {
 // Returns nullopt when the trimmed string is not a complete number.
 std::optional<double> ParseNumber(std::string_view s);
 
+// "123" -> 123; nullopt when empty, not all digits, or above 2^64 - 1.
+std::optional<uint64_t> ParseUint64(std::string_view text);
+
+// Takes the word before the first space off the front of *rest:
+// "RECORD shake <doc>" -> "RECORD", *rest = "shake <doc>". Empty when
+// *rest is empty.
+std::string_view TakeWord(std::string_view* rest);
+
 // True for the XML whitespace characters space, tab, CR, LF.
 inline bool IsXmlWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';

@@ -24,31 +24,17 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-// Decodes the "<Code>" of an "ERR <Code>: <message>" reply back into a
-// StatusCode. Unknown names decode as kInternal (a server newer than
-// this client).
-StatusCode CodeFromName(std::string_view name) {
-  static constexpr StatusCode kCodes[] = {
-      StatusCode::kInvalidArgument, StatusCode::kParseError,
-      StatusCode::kNotSupported,    StatusCode::kOutOfRange,
-      StatusCode::kResourceExhausted, StatusCode::kInternal,
-      StatusCode::kCancelled,       StatusCode::kDeadlineExceeded,
-      StatusCode::kLimitExceeded,   StatusCode::kDataCorruption,
-  };
-  for (StatusCode code : kCodes) {
-    if (name == StatusCodeName(code)) return code;
-  }
-  return StatusCode::kInternal;
-}
-
 Status DecodeErr(std::string_view rest) {
   // rest = "<Code>: <message>"
   size_t colon = rest.find(": ");
   if (colon == std::string_view::npos) {
     return Status::Internal("malformed ERR reply: " + std::string(rest));
   }
-  return Status(CodeFromName(rest.substr(0, colon)),
-                std::string(rest.substr(colon + 2)));
+  // A code this client does not know (a newer server) decodes as
+  // kInternal.
+  return Status(
+      StatusCodeFromName(rest.substr(0, colon)).value_or(StatusCode::kInternal),
+      std::string(rest.substr(colon + 2)));
 }
 
 }  // namespace
@@ -82,47 +68,8 @@ void Client::Close() {
 }
 
 VerbRetryClass Client::RetryClassFor(std::string_view line) {
-  size_t space = line.find(' ');
-  std::string_view verb = line.substr(0, space);
-  // The verb table. Every protocol verb appears here; anything else is
-  // an unknown (future) verb and gets the conservative class.
-  struct VerbEntry {
-    std::string_view verb;
-    VerbRetryClass retry_class;
-  };
-  static constexpr VerbEntry kVerbTable[] = {
-      {"RUNCACHED", VerbRetryClass::kIdempotent},
-      {"METRICS", VerbRetryClass::kIdempotent},
-      {"STATS", VerbRetryClass::kIdempotent},
-      {"RECORD", VerbRetryClass::kIdempotent},  // idempotent by key
-      // Replication verbs: REPLPULL re-installs the same tape under the
-      // same key (idempotent by key, like RECORD); REPLSTATUS only
-      // reads. Both safe to retry across shard-to-shard transfers.
-      {"REPLPULL", VerbRetryClass::kIdempotent},
-      {"REPLSTATUS", VerbRetryClass::kIdempotent},
-      {"OPEN", VerbRetryClass::kNonIdempotent},
-      {"PUSH", VerbRetryClass::kNonIdempotent},
-      {"DRAIN", VerbRetryClass::kNonIdempotent},
-      {"CLOSE", VerbRetryClass::kNonIdempotent},
-      {"EVICT", VerbRetryClass::kNonIdempotent},
-      {"CANCEL", VerbRetryClass::kNonIdempotent},
-      {"QUIT", VerbRetryClass::kNonIdempotent},
-      // GOSSIP carries a CRDT-style digest whose merge is idempotent:
-      // delivering the same digest twice leaves the peer unchanged, so
-      // a lost reply is safe to retry (on the next endpoint, if any).
-      {"GOSSIP", VerbRetryClass::kIdempotent},
-      {"PUBLISH", VerbRetryClass::kNeverRetry},
-      {"SUBSCRIBE", VerbRetryClass::kNeverRetry},
-      {"UNSUBSCRIBE", VerbRetryClass::kNeverRetry},
-  };
-  for (const VerbEntry& entry : kVerbTable) {
-    if (verb == entry.verb) return entry.retry_class;
-  }
-  return VerbRetryClass::kNonIdempotent;
-}
-
-bool Client::IsIdempotent(std::string_view line) {
-  return RetryClassFor(line) == VerbRetryClass::kIdempotent;
+  const VerbSpec* verb = FindVerb(line.substr(0, line.find(' ')));
+  return verb == nullptr ? VerbRetryClass::kNonIdempotent : verb->retry_class;
 }
 
 uint64_t Client::NextBackoffMs(int attempt) {
@@ -274,7 +221,8 @@ Result<Response> Client::RequestOnce(std::string_view line) {
 }
 
 Result<Response> Client::Request(std::string_view line) {
-  const bool retryable = IsIdempotent(line);
+  const bool retryable =
+      RetryClassFor(line) == VerbRetryClass::kIdempotent;
   const int attempts_allowed = retryable ? config_.max_retries + 1 : 1;
   Status last = Status::OK();
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {

@@ -6,26 +6,9 @@
 // request deadline; connect() itself is bounded by a connect timeout
 // (non-blocking connect + poll). Transport failures — refused or timed
 // out connects, resets, a deadline with no terminator — are retried
-// with jittered exponential backoff, but ONLY for idempotent verbs.
-// The classification is a per-verb table (RetryClassFor):
-//
-//   kIdempotent    RUNCACHED METRICS STATS RECORD REPLPULL REPLSTATUS —
-//                  replaying leaves the server in the same state.
-//                  RECORD and REPLPULL are idempotent *by key*:
-//                  re-installing the same name with the same bytes
-//                  replaces the tape with an identical one, so a lost
-//                  reply is safe to retry.
-//   kNonIdempotent OPEN PUSH CLOSE DRAIN EVICT CANCEL — a replay
-//                  changes state (a retried PUSH feeds the document
-//                  bytes twice; a retried OPEN leaks a session). The
-//                  transport error surfaces to the caller, who knows
-//                  the conversation state.
-//   kNeverRetry    PUBLISH SUBSCRIBE UNSUBSCRIBE — a replay is not
-//                  just stateful but *externally visible*: a retried
-//                  PUBLISH double-delivers EVENT frames to every
-//                  subscriber, a retried SUBSCRIBE registers a
-//                  duplicate standing query. These must never be
-//                  auto-retried under any policy.
+// with jittered exponential backoff, but ONLY for idempotent verbs:
+// each verb's retry class is its row in the verb table (net/verbs.h),
+// and a verb missing from it gets the conservative kNonIdempotent.
 //
 // An "ERR" reply is NOT retried regardless of verb: the server
 // answered; the request failed for a reason retrying will not change
@@ -59,16 +42,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/verbs.h"
 
 namespace xsq::net {
-
-// How a verb behaves when its request is replayed after a transport
-// failure (see the table in the header comment).
-enum class VerbRetryClass {
-  kIdempotent,     // safe to auto-retry (reconnect + resend)
-  kNonIdempotent,  // caller must decide; never auto-retried
-  kNeverRetry,     // externally visible replay; never retried, period
-};
 
 // One HOST:PORT target for multi-endpoint failover.
 struct Endpoint {
@@ -130,13 +106,10 @@ class Client {
   Result<Response> Request(std::string_view line);
 
   // The retry class of `line`'s verb (the word before the first
-  // space). Unknown verbs classify as kNonIdempotent: a server newer
-  // than this client gets the conservative treatment.
+  // space), from the verb table. Unknown verbs classify as
+  // kNonIdempotent: a server newer than this client gets the
+  // conservative treatment.
   static VerbRetryClass RetryClassFor(std::string_view line);
-
-  // True for verbs whose replay cannot change server state.
-  // Equivalent to RetryClassFor(line) == kIdempotent.
-  static bool IsIdempotent(std::string_view line);
 
   // Lifetime transport counters, for pools and tests that need to see
   // how hard this client has been fighting the network.

@@ -53,6 +53,11 @@ class ConnectionHandler {
   // Releases everything this conversation acquired (sessions, leases,
   // subscriber registrations). Idempotent; safe from any thread.
   virtual void ReleaseAll() {}
+
+  // True while the conversation holds state that closing it would lose
+  // (open sessions, standing queries). Server::Stop waits for such
+  // connections and closes the others at once. Safe from any thread.
+  virtual bool HoldsState() const { return false; }
 };
 
 }  // namespace xsq::net

@@ -148,6 +148,7 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ && !poll_thread_.joinable()) return;  // already stopped
     draining_ = true;
+    stop_requested_ = true;
   }
   WakePoll();
   {
@@ -197,7 +198,7 @@ void Server::QueueOutputLocked(const std::shared_ptr<Connection>& conn,
     conn->pending_lines.clear();
     conn->closing = true;
     conn->protocol->CancelAll();
-    app_.stats->RecordNetOverrunClosed();
+    app_.stats->Add(service::Stat::net_overrun_closed);
   }
 }
 
@@ -213,7 +214,7 @@ void Server::TeardownLocked(const std::shared_ptr<Connection>& conn,
   }
   size_t cancelled = conn->protocol->CancelAll();
   if (abrupt && cancelled > 0) {
-    app_.stats->RecordDisconnectCancels(cancelled);
+    app_.stats->Add(service::Stat::disconnect_cancels, cancelled);
   }
   // ReleaseAll deregisters the connection's subscriber, blocking until
   // no dispatcher is mid-delivery. Safe under mu_: the event sink only
@@ -259,7 +260,7 @@ void Server::AcceptPendingLocked() {
                                MSG_NOSIGNAL | MSG_DONTWAIT);
       (void)ignored;
       ::close(fd);
-      app_.stats->RecordConnectionShed();
+      app_.stats->Add(service::Stat::connections_shed);
       continue;
     }
     int one = 1;
@@ -284,7 +285,7 @@ void Server::AcceptPendingLocked() {
         });
     conn->last_activity = std::chrono::steady_clock::now();
     conns_.emplace(fd, std::move(conn));
-    app_.stats->RecordConnectionAccepted();
+    app_.stats->Add(service::Stat::connections_accepted);
   }
 }
 
@@ -305,7 +306,7 @@ void Server::DrainEventsLocked(const std::shared_ptr<Connection>& conn) {
 void Server::HandleHttpLocked(const std::shared_ptr<Connection>& conn) {
   if (conn->closing) return;
   if (conn->in_buffer.size() > kMaxHttpRequestBytes) {
-    app_.stats->RecordNetOverrunClosed();
+    app_.stats->Add(service::Stat::net_overrun_closed);
     TeardownLocked(conn, false);
     return;
   }
@@ -390,7 +391,7 @@ void Server::SplitLinesLocked(const std::shared_ptr<Connection>& conn) {
         conn->pending_lines.clear();
         conn->closing = true;
         QueueOutputLocked(conn, kShedReply);
-        app_.stats->RecordConnectionShed();
+        app_.stats->Add(service::Stat::connections_shed);
         return;
       }
     }
@@ -429,7 +430,7 @@ void Server::SplitLinesLocked(const std::shared_ptr<Connection>& conn) {
     QueueOutputLocked(conn,
                       LineProtocol::OversizedLineReply(config_.max_line_bytes) +
                           "\n");
-    app_.stats->RecordNetOverrunClosed();
+    app_.stats->Add(service::Stat::net_overrun_closed);
     return;
   }
   ScheduleLocked(conn);
@@ -497,21 +498,25 @@ void Server::SweepTimeoutsLocked(std::chrono::steady_clock::time_point now) {
     }
     // A connection whose command is still executing (or queued) is not
     // idle — the peer is legitimately waiting for a long evaluation.
-    if (config_.idle_timeout_ms > 0 && !conn->executing &&
-        conn->pending_lines.empty() && conn->out_buffer.empty() &&
+    if (config_.idle_timeout_ms > 0 && QuietLocked(*conn) &&
         now - conn->last_activity >
             std::chrono::milliseconds(config_.idle_timeout_ms)) {
       idle_victims.push_back(conn);
     }
   }
   for (auto& conn : write_victims) {
-    app_.stats->RecordNetOverrunClosed();
+    app_.stats->Add(service::Stat::net_overrun_closed);
     TeardownLocked(conn, false);
   }
   for (auto& conn : idle_victims) {
-    app_.stats->RecordNetIdleClosed();
+    app_.stats->Add(service::Stat::net_idle_closed);
     TeardownLocked(conn, false);
   }
+}
+
+bool Server::QuietLocked(const Connection& conn) {
+  return !conn.executing && conn.pending_lines.empty() &&
+         conn.out_buffer.empty();
 }
 
 void Server::PollLoop() {
@@ -569,11 +574,16 @@ void Server::PollLoop() {
       // Ship asynchronous EVENT frames queued by dispatcher sinks.
       for (auto& [fd, conn] : conns_) DrainEventsLocked(conn);
       // Reap conversations that are over: everything executed, every
-      // reply delivered, close requested.
+      // reply delivered, close requested. Once Stop() began, a quiet
+      // conversation holding no state is over too: waiting out the
+      // drain deadline for an idle peer (a router's pooled connection)
+      // would only delay shutdown.
       std::vector<std::shared_ptr<Connection>> done;
       for (auto& [fd, conn] : conns_) {
-        if (!conn->dead && conn->closing && conn->out_buffer.empty() &&
-            !conn->executing && conn->pending_lines.empty()) {
+        if (conn->dead || !QuietLocked(*conn)) continue;
+        if (conn->closing ||
+            (stop_requested_ && conn->in_buffer.empty() &&
+             !conn->protocol->HoldsState())) {
           done.push_back(conn);
         }
       }

@@ -86,9 +86,12 @@
 //
 // Shutdown: BeginDrain() stops accepting (the listen socket closes, so
 // the port frees immediately) while live connections keep being
-// served; Stop() drains for up to drain_deadline_ms, then cancels and
-// closes whatever remains, and joins all threads. SIGTERM handling in
-// xsqd maps onto exactly this pair.
+// served; Stop() closes every quiet connection at once — nothing
+// pending, executing or unsent, no open session or subscription — and
+// waits up to drain_deadline_ms for the others to finish (each closes
+// as soon as it turns quiet), then cancels and closes whatever
+// remains, and joins all threads. SIGTERM handling in xsqd maps onto
+// exactly this pair.
 #ifndef XSQ_NET_SERVER_H_
 #define XSQ_NET_SERVER_H_
 
@@ -191,9 +194,10 @@ class Server {
   // beyond a pipe write).
   void BeginDrain();
 
-  // BeginDrain, then waits up to config.drain_deadline_ms for live
-  // connections to finish; whatever remains is cancelled (sessions
-  // abort kCancelled) and closed. Joins all threads. Idempotent.
+  // BeginDrain, then closes quiet connections and waits up to
+  // config.drain_deadline_ms for busy ones to finish; whatever remains
+  // is cancelled (sessions abort kCancelled) and closed. Joins all
+  // threads. Idempotent.
   void Stop();
 
   // Live established connections (excludes the listener).
@@ -262,6 +266,8 @@ class Server {
   void DrainEventsLocked(const std::shared_ptr<Connection>& conn);
   void HandleHttpLocked(const std::shared_ptr<Connection>& conn);
   void SweepTimeoutsLocked(std::chrono::steady_clock::time_point now);
+  // No command pending or executing and no reply waiting to be sent.
+  static bool QuietLocked(const Connection& conn);
   // Cancels (counting disconnect_cancels when `abrupt`), releases,
   // closes and unmaps the connection. Any thread holding mu_.
   void TeardownLocked(const std::shared_ptr<Connection>& conn, bool abrupt);
@@ -289,6 +295,7 @@ class Server {
   // protocol-connection count the shed accounting uses.
   size_t http_conns_ = 0;
   bool draining_ = false;
+  bool stop_requested_ = false;  // Stop() began: close quiet connections
   bool stopping_ = false;
 
   std::thread poll_thread_;

@@ -1,8 +1,12 @@
 #include "obs/exposition.h"
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
+
+#include "common/strings.h"
 
 namespace xsq::obs {
 
@@ -20,30 +24,16 @@ void AppendDouble(std::string* out, double value) {
   *out += buf;
 }
 
-// "123" -> 123; false on anything else (sign, empty, trailing junk).
-bool ParseUint(std::string_view text, uint64_t* value) {
-  if (text.empty()) return false;
-  uint64_t out = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t next = out * 10 + static_cast<uint64_t>(c - '0');
-    if (next < out) return false;  // overflow
-    out = next;
-  }
-  *value = out;
-  return true;
-}
-
 // A rendered bucket upper bound back to its bucket index. The bounds
 // the renderer emits are exactly 0, 2^i - 1 (1 <= i <= 63) and the
 // all-ones 2^64 - 1 for bucket 64, so the mapping is invertible.
 bool BucketIndexFromBound(std::string_view bound, size_t* index) {
   if (bound == "+Inf") return false;  // handled by the caller
-  uint64_t value = 0;
-  if (!ParseUint(bound, &value)) return false;
-  size_t i = value == 0 ? 0 : static_cast<size_t>(std::bit_width(value));
+  std::optional<uint64_t> value = ParseUint64(bound);
+  if (!value.has_value()) return false;
+  size_t i = *value == 0 ? 0 : static_cast<size_t>(std::bit_width(*value));
   if (i >= Histogram::kBucketCount) return false;
-  if (Histogram::BucketUpperBound(i) != value) return false;
+  if (Histogram::BucketUpperBound(i) != *value) return false;
   *index = i;
   return true;
 }
@@ -158,12 +148,7 @@ Result<Exposition> Exposition::Parse(std::string_view text) {
   std::string pending_help;   // help seen for family_name
   size_t family_begin = 0;    // first series_ index of this family
 
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
+  for (std::string_view line : Split(text, '\n')) {
     if (line.empty()) continue;
 
     if (line[0] == '#') {
@@ -215,9 +200,11 @@ Result<Exposition> Exposition::Parse(std::string_view text) {
       series.help = pending_help;
       series.type = family_type;
       series.is_histogram = false;
-      if (!ParseUint(data.value, &series.value)) {
+      std::optional<uint64_t> value = ParseUint64(data.value);
+      if (!value.has_value()) {
         return Status::ParseError("bad scalar value: " + std::string(line));
       }
+      series.value = *value;
       doc.series_.push_back(std::move(series));
       continue;
     }
@@ -249,14 +236,15 @@ Result<Exposition> Exposition::Parse(std::string_view text) {
       series = &doc.series_.back();
     }
 
-    uint64_t value = 0;
     if (data.suffix == "_p50" || data.suffix == "_p95" ||
         data.suffix == "_p99") {
       continue;  // recomputed from the buckets at render
     }
-    if (!ParseUint(data.value, &value)) {
+    std::optional<uint64_t> parsed = ParseUint64(data.value);
+    if (!parsed.has_value()) {
       return Status::ParseError("bad value: " + std::string(line));
     }
+    uint64_t value = *parsed;
     if (data.suffix == "_bucket") {
       if (bound == "+Inf") {
         // Cumulative total; _count carries the same number. Nothing to
@@ -290,7 +278,7 @@ Result<Exposition> Exposition::Parse(std::string_view text) {
   return doc;
 }
 
-void Exposition::MergeFrom(const Exposition& other) {
+void Exposition::MergeFrom(const Exposition& other, ScalarRule rule) {
   for (const ExpositionSeries& theirs : other.series_) {
     ExpositionSeries* mine = nullptr;
     for (ExpositionSeries& candidate : series_) {
@@ -306,6 +294,8 @@ void Exposition::MergeFrom(const Exposition& other) {
     }
     if (mine->is_histogram && theirs.is_histogram) {
       mine->hist.Merge(theirs.hist);
+    } else if (rule != nullptr && rule(mine->name) == ScalarMerge::kMax) {
+      mine->value = std::max(mine->value, theirs.value);
     } else {
       mine->value += theirs.value;
     }

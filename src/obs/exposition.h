@@ -5,8 +5,8 @@
 // built for the cluster tier: a router scrapes each shard's METRICS
 // (or GET /metrics), parses the text back into histogram snapshots and
 // scalar values, merges them keyed by (name, labels) — buckets, sums
-// and counts add; max takes the max; scalars add — and renders one
-// merged exposition for the whole cluster.
+// and counts add; max takes the max; scalars fold by the caller's
+// rule — and renders one merged exposition for the whole cluster.
 //
 // Round-trip guarantee: for text produced by this repo's renderers,
 // Render(Parse(text)) == text, byte for byte. That holds because the
@@ -35,6 +35,11 @@
 
 namespace xsq::obs {
 
+// How a scalar series folds across processes: summed (counters, and
+// gauges whose cluster-wide value is the total over processes) or
+// maxed (high-water marks and build flags, where a sum means nothing).
+enum class ScalarMerge { kSum, kMax };
+
 // One parsed series: a histogram snapshot or a scalar value, plus the
 // family metadata needed to re-render its header.
 struct ExpositionSeries {
@@ -58,11 +63,11 @@ class Exposition {
 
   // Folds `other` into this document. Series are keyed by
   // (name, labels): histograms merge bucket-wise (counts, sums and
-  // buckets add, max takes the max), scalars add — counters because
-  // cluster totals are sums, gauges because the cluster-wide "in
-  // flight right now" is also the sum over shards. Series unseen here
-  // are appended in `other`'s order.
-  void MergeFrom(const Exposition& other);
+  // buckets add, max takes the max); scalars fold by `rule(name)`, and
+  // add when no rule is given. Series unseen here are appended in
+  // `other`'s order.
+  using ScalarRule = ScalarMerge (*)(std::string_view name);
+  void MergeFrom(const Exposition& other, ScalarRule rule = nullptr);
 
   // Renders the document in Registry's exact format (headers shared by
   // consecutive same-name series, cumulative buckets, recomputed

@@ -112,12 +112,10 @@ std::string Registry::RenderText() const {
 }
 
 void Registry::AppendScalar(std::string* out, std::string_view name,
-                            std::string_view type, uint64_t value) {
+                            ScalarKind kind, uint64_t value) {
   *out += "# TYPE ";
   out->append(name);
-  *out += ' ';
-  out->append(type);
-  *out += '\n';
+  *out += kind == ScalarKind::kCounter ? " counter\n" : " gauge\n";
   out->append(name);
   *out += ' ';
   AppendUint(out, value);

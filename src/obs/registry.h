@@ -34,6 +34,9 @@
 
 namespace xsq::obs {
 
+// The exposition type of a scalar series.
+enum class ScalarKind { kCounter, kGauge };
+
 class Registry {
  public:
   Registry() = default;
@@ -63,9 +66,9 @@ class Registry {
 
   // Renders one scalar metric line pair ("# TYPE" + value) in the same
   // exposition format; used by callers that mix plain counters/gauges
-  // into the same METRICS payload. `type` is "counter" or "gauge".
+  // into the same METRICS payload.
   static void AppendScalar(std::string* out, std::string_view name,
-                           std::string_view type, uint64_t value);
+                           ScalarKind kind, uint64_t value);
 
  private:
   struct Entry {

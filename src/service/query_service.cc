@@ -63,7 +63,8 @@ void QueryService::WorkerLoop() {
         // Failed sessions swallow their remaining queued chunks (the
         // error is already recorded; Close reports it).
         state->session->Push(item.chunk);
-        stats_.RecordChunk(item.chunk.size());
+        stats_.Add(Stat::chunks_processed);
+        stats_.Add(Stat::bytes_consumed, item.chunk.size());
         metrics_.RecordChunkLatency(
             ElapsedMicros(item.enqueued, std::chrono::steady_clock::now()),
             state->session->deterministic());
@@ -117,7 +118,7 @@ Result<SessionId> QueryService::OpenSession(std::string_view query_text) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return Status::InvalidArgument("service is shut down");
     if (sessions_.size() >= config_.max_sessions) {
-      stats_.RecordSessionRejected();
+      stats_.Add(Stat::sessions_rejected);
       return Status::ResourceExhausted(
           "session limit reached (" + std::to_string(config_.max_sessions) +
           ")");
@@ -138,7 +139,7 @@ Result<SessionId> QueryService::OpenSession(std::string_view query_text) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return Status::InvalidArgument("service is shut down");
   if (sessions_.size() >= config_.max_sessions) {
-    stats_.RecordSessionRejected();
+    stats_.Add(Stat::sessions_rejected);
     return Status::ResourceExhausted(
         "session limit reached (" + std::to_string(config_.max_sessions) +
         ")");
@@ -147,7 +148,7 @@ Result<SessionId> QueryService::OpenSession(std::string_view query_text) {
   auto state = std::make_shared<SessionState>();
   state->session = std::move(session);
   sessions_.emplace(id, std::move(state));
-  stats_.RecordSessionOpened();
+  stats_.Add(Stat::sessions_opened);
   return id;
 }
 
@@ -160,15 +161,15 @@ Status QueryService::Push(SessionId id, std::string chunk,
     return Status::InvalidArgument("Push after Close");
   }
   if (state->queue.size() >= config_.max_queued_chunks_per_session) {
-    stats_.RecordPushRejected();
+    stats_.Add(Stat::pushes_rejected);
     return Status::ResourceExhausted(
         "session queue full (" +
         std::to_string(config_.max_queued_chunks_per_session) +
         " chunks); drain or retry");
   }
   if (config_.global_memory_budget > 0 &&
-      stats_.buffered_bytes() > config_.global_memory_budget) {
-    stats_.RecordPushRejected();
+      stats_.Get(Stat::engine_buffered_bytes) > config_.global_memory_budget) {
+    stats_.Add(Stat::pushes_rejected);
     return Status::ResourceExhausted(
         "global memory budget exceeded; retry after buffers drain");
   }
@@ -186,7 +187,7 @@ Status QueryService::Push(SessionId id, std::string chunk,
   }
   state->queue.push_back(
       WorkItem{WorkItem::Kind::kChunk, std::move(chunk), now});
-  stats_.RecordQueueDepth(state->queue.size());
+  stats_.RaiseTo(Stat::queue_high_water, state->queue.size());
   ScheduleLocked(state);
   return Status::OK();
 }
@@ -276,8 +277,7 @@ Status QueryService::RunCached(SessionId id, std::string_view name,
   XSQ_ASSIGN_OR_RETURN(std::shared_ptr<SessionState> state, FindLocked(id));
   std::shared_ptr<const tape::Tape> tape = doc_cache_.Get(name);
   if (tape == nullptr) {
-    return Status::InvalidArgument("document not recorded: " +
-                                   std::string(name));
+    return Status::NotFound("document not recorded: " + std::string(name));
   }
   WaitUntilIdle(lock, state);
   // Claim the session so no worker can touch it while we replay inline
@@ -325,8 +325,7 @@ Status QueryService::CancelSession(SessionId id) {
 
 Status QueryService::EvictDocument(std::string_view name) {
   if (!doc_cache_.Evict(name)) {
-    return Status::InvalidArgument("document not recorded: " +
-                                   std::string(name));
+    return Status::NotFound("document not recorded: " + std::string(name));
   }
   return Status::OK();
 }
@@ -335,10 +334,9 @@ Result<std::shared_ptr<const tape::Tape>> QueryService::ServeTape(
     std::string_view name) {
   std::shared_ptr<const tape::Tape> tape = doc_cache_.Peek(name);
   if (tape == nullptr) {
-    return Status::InvalidArgument("document not recorded: " +
-                                   std::string(name));
+    return Status::NotFound("document not recorded: " + std::string(name));
   }
-  stats_.RecordReplServe();
+  stats_.Add(Stat::repl_serves);
   return tape;
 }
 
@@ -352,13 +350,13 @@ Result<std::shared_ptr<const tape::Tape>> QueryService::IngestTape(
   Result<tape::Tape> decoded =
       tape::Tape::FromBytes(std::move(bytes), "replpull:" + std::string(name));
   if (!decoded.ok()) {
-    stats_.RecordTapeCorrupt();
-    stats_.RecordReplIngestCorrupt();
+    stats_.Add(Stat::tape_corrupt);
+    stats_.Add(Stat::repl_ingest_corrupt);
     return decoded.status();
   }
   auto tape = std::make_shared<const tape::Tape>(*std::move(decoded));
   doc_cache_.Put(name, tape);
-  stats_.RecordReplIngest();
+  stats_.Add(Stat::repl_ingests);
   return tape;
 }
 
@@ -427,8 +425,8 @@ Status QueryService::RemoveSubscriber(uint64_t subscriber_id) {
     (void)pubsub_.Unsubscribe(sid);  // only fails on unknown ids
     subscription_owner_.erase(sid);
   }
-  stats_.AdjustSubscriptionsActive(
-      -static_cast<int64_t>(sub->subscriptions.size()));
+  stats_.Add(Stat::subscriptions_active,
+             -static_cast<int64_t>(sub->subscriptions.size()));
   sub->subscriptions.clear();
   sub->frames.clear();
   subscribers_.erase(it);
@@ -455,7 +453,7 @@ Result<uint64_t> QueryService::Subscribe(uint64_t subscriber_id,
   XSQ_ASSIGN_OR_RETURN(uint64_t sid, pubsub_.Subscribe(query_text));
   it->second->subscriptions.insert(sid);
   subscription_owner_.emplace(sid, subscriber_id);
-  stats_.AdjustSubscriptionsActive(1);
+  stats_.Add(Stat::subscriptions_active);
   return sid;
 }
 
@@ -475,7 +473,7 @@ Status QueryService::Unsubscribe(uint64_t subscriber_id,
   if (it != subscribers_.end()) {
     it->second->subscriptions.erase(subscription_id);
   }
-  stats_.AdjustSubscriptionsActive(-1);
+  stats_.Add(Stat::subscriptions_active, -1);
   return Status::OK();
 }
 
@@ -487,7 +485,7 @@ Result<QueryService::PublishSummary> QueryService::Publish(
   if (pub_stopping_) return Status::InvalidArgument("service is shut down");
   XSQ_ASSIGN_OR_RETURN(pubsub::PublishOutcome outcome,
                        pubsub_.Publish(document));
-  stats_.RecordPublish();
+  stats_.Add(Stat::publishes);
 
   PublishSummary summary;
   summary.subscriptions = outcome.subscriptions;
@@ -528,7 +526,7 @@ Result<QueryService::PublishSummary> QueryService::Publish(
     }
     if (dropped_now > 0) {
       summary.frames_shed += dropped_now;
-      stats_.RecordFanoutShed(dropped_now);
+      stats_.Add(Stat::fanout_shed, dropped_now);
       if (!sub.shed_episode) {
         sub.shed_episode = true;
         sub.frames.push_back(
@@ -591,8 +589,8 @@ void QueryService::DispatcherLoop() {
       sub->sink(frame);
       ++delivered;
     }
-    if (delivered > 0) stats_.RecordEventsDelivered(delivered);
-    if (injected_drops > 0) stats_.RecordFanoutShed(injected_drops);
+    if (delivered > 0) stats_.Add(Stat::events_delivered, delivered);
+    if (injected_drops > 0) stats_.Add(Stat::fanout_shed, injected_drops);
 
     lock.lock();
     sub->claimed = false;
@@ -662,57 +660,7 @@ std::string QueryService::MetricsText() const {
   // The STATS counters re-exposed in the same format, `xsq_` prefixed,
   // so one METRICS scrape reconciles histograms against lifetime
   // counters and gauges.
-  StatsSnapshot snap = stats();
-  auto counter = [&out](const char* name, uint64_t value) {
-    obs::Registry::AppendScalar(&out, name, "counter", value);
-  };
-  auto gauge = [&out](const char* name, uint64_t value) {
-    obs::Registry::AppendScalar(&out, name, "gauge", value);
-  };
-  // Whether the per-phase hooks were compiled in; scrapers (and the
-  // smoke test) use this to know if the phase histograms can populate.
-#if XSQ_OBS_ENABLED
-  gauge("xsq_obs_enabled", 1);
-#else
-  gauge("xsq_obs_enabled", 0);
-#endif
-  counter("xsq_sessions_opened", snap.sessions_opened);
-  counter("xsq_sessions_rejected", snap.sessions_rejected);
-  gauge("xsq_sessions_active", snap.sessions_active);
-  counter("xsq_chunks_processed", snap.chunks_processed);
-  counter("xsq_bytes_consumed", snap.bytes_consumed);
-  counter("xsq_items_emitted", snap.items_emitted);
-  counter("xsq_pushes_rejected", snap.pushes_rejected);
-  gauge("xsq_queue_high_water", snap.queue_high_water);
-  gauge("xsq_engine_buffered_bytes", snap.engine_buffered_bytes);
-  counter("xsq_plan_cache_hits", snap.plan_cache_hits);
-  counter("xsq_plan_cache_misses", snap.plan_cache_misses);
-  counter("xsq_plan_cache_evictions", snap.plan_cache_evictions);
-  counter("xsq_doc_cache_hits", snap.doc_cache_hits);
-  counter("xsq_doc_cache_misses", snap.doc_cache_misses);
-  counter("xsq_doc_cache_evictions", snap.doc_cache_evictions);
-  counter("xsq_doc_cache_explicit_evictions",
-          snap.doc_cache_explicit_evictions);
-  gauge("xsq_doc_cache_documents", snap.doc_cache_documents);
-  gauge("xsq_doc_cache_bytes", snap.doc_cache_bytes);
-  counter("xsq_tape_replays", snap.tape_replays);
-  counter("xsq_tape_events_replayed", snap.tape_events_replayed);
-  counter("xsq_cancelled", snap.cancelled);
-  counter("xsq_deadline_exceeded", snap.deadline_exceeded);
-  counter("xsq_limit_rejected", snap.limit_rejected);
-  counter("xsq_tape_corrupt", snap.tape_corrupt);
-  counter("xsq_connections_accepted", snap.connections_accepted);
-  counter("xsq_connections_shed", snap.connections_shed);
-  counter("xsq_disconnect_cancels", snap.disconnect_cancels);
-  counter("xsq_net_idle_closed", snap.net_idle_closed);
-  counter("xsq_net_overrun_closed", snap.net_overrun_closed);
-  gauge("xsq_subscriptions_active", snap.subscriptions_active);
-  counter("xsq_publishes", snap.publishes);
-  counter("xsq_events_delivered", snap.events_delivered);
-  counter("xsq_fanout_shed", snap.fanout_shed);
-  counter("xsq_repl_serves", snap.repl_serves);
-  counter("xsq_repl_ingests", snap.repl_ingests);
-  counter("xsq_repl_ingest_corrupt", snap.repl_ingest_corrupt);
+  stats().AppendMetrics(&out);
   exemplars_.RenderComments(&out);
   return out;
 }

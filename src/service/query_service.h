@@ -183,7 +183,7 @@ class QueryService {
   // rewound first if it already served a document or failed, so one
   // session can RunCached any number of documents back to back. Returns
   // the session's terminal status; results are drainable as after
-  // Close. InvalidArgument when `name` is not resident.
+  // Close. NotFound when `name` is not resident.
   // `deadline_ms` > 0 bounds this replay, overriding the service
   // default.
   Status RunCached(SessionId id, std::string_view name,
@@ -196,7 +196,7 @@ class QueryService {
   // ResetSession.
   Status CancelSession(SessionId id);
 
-  // Drops `name`'s tape from the document cache. InvalidArgument when
+  // Drops `name`'s tape from the document cache. NotFound when
   // it is not resident. In-flight replays keep their tape alive.
   Status EvictDocument(std::string_view name);
 
@@ -209,7 +209,7 @@ class QueryService {
   // perturbs the serving path's LRU order or hit/miss statistics.
 
   // The resident tape for `name`, recency and cache counters untouched;
-  // counts one repl_serve. InvalidArgument when not resident.
+  // counts one repl_serve. NotFound when not resident.
   Result<std::shared_ptr<const tape::Tape>> ServeTape(std::string_view name);
 
   // Decodes `bytes` as a serialized tape (full validation including the

@@ -65,8 +65,9 @@ void Session::RecordPhaseHistograms() {
 Session::~Session() {
   // Return this session's share of the global buffered-bytes gauge.
   if (stats_ != nullptr) {
-    stats_->AdjustBufferedBytes(
-        -static_cast<int64_t>(buffered_.load(std::memory_order_relaxed)));
+    int64_t buffered = static_cast<int64_t>(
+        buffered_.load(std::memory_order_relaxed));
+    stats_->Add(Stat::engine_buffered_bytes, -buffered);
   }
 }
 
@@ -76,8 +77,9 @@ Status Session::AfterEngineStep(Status step) {
   size_t previous =
       buffered_.exchange(now_buffered, std::memory_order_relaxed);
   if (stats_ != nullptr && now_buffered != previous) {
-    stats_->AdjustBufferedBytes(static_cast<int64_t>(now_buffered) -
-                                static_cast<int64_t>(previous));
+    stats_->Add(Stat::engine_buffered_bytes,
+                static_cast<int64_t>(now_buffered) -
+                    static_cast<int64_t>(previous));
   }
 
   if (step.ok() && memory_budget_ > 0 && now_buffered > memory_budget_) {
@@ -101,22 +103,24 @@ Status Session::AfterEngineStep(Status step) {
     status_ = step;
   }
   items_produced_.fetch_add(new_items, std::memory_order_relaxed);
-  if (stats_ != nullptr && new_items > 0) stats_->RecordItems(new_items);
+  if (stats_ != nullptr && new_items > 0) {
+    stats_->Add(Stat::items_emitted, new_items);
+  }
 
   if (newly_failed) {
     if (stats_ != nullptr) {
       switch (step.code()) {
         case StatusCode::kCancelled:
-          stats_->RecordCancelled();
+          stats_->Add(Stat::cancelled);
           break;
         case StatusCode::kDeadlineExceeded:
-          stats_->RecordDeadlineExceeded();
+          stats_->Add(Stat::deadline_exceeded);
           break;
         case StatusCode::kLimitExceeded:
-          stats_->RecordLimitRejected();
+          stats_->Add(Stat::limit_rejected);
           break;
         case StatusCode::kDataCorruption:
-          stats_->RecordTapeCorrupt();
+          stats_->Add(Stat::tape_corrupt);
           break;
         default:
           break;
@@ -131,7 +135,8 @@ Status Session::AfterEngineStep(Status step) {
       query_->Reset();
       size_t previous = buffered_.exchange(0, std::memory_order_relaxed);
       if (stats_ != nullptr && previous != 0) {
-        stats_->AdjustBufferedBytes(-static_cast<int64_t>(previous));
+        stats_->Add(Stat::engine_buffered_bytes,
+                    -static_cast<int64_t>(previous));
       }
     }
   }
@@ -180,7 +185,10 @@ Status Session::RunTape(const tape::Tape& tape) {
   if (!replayer.status().ok()) return AfterEngineStep(replayer.status());
   Status step = AfterEngineStep(query_->FinishEvents());
   if (step.ok()) closed_.store(true, std::memory_order_relaxed);
-  if (stats_ != nullptr) stats_->RecordTapeReplay(replayer.events_emitted());
+  if (stats_ != nullptr) {
+    stats_->Add(Stat::tape_replays);
+    stats_->Add(Stat::tape_events_replayed, replayer.events_emitted());
+  }
   return step;
 }
 
@@ -191,7 +199,7 @@ Status Session::Reset() {
   closed_.store(false, std::memory_order_relaxed);
   size_t previous = buffered_.exchange(0, std::memory_order_relaxed);
   if (stats_ != nullptr && previous != 0) {
-    stats_->AdjustBufferedBytes(-static_cast<int64_t>(previous));
+    stats_->Add(Stat::engine_buffered_bytes, -static_cast<int64_t>(previous));
   }
   std::lock_guard<std::mutex> lock(mu_);
   current_aggregate_.reset();

@@ -1,54 +1,30 @@
 #include "service/stats.h"
 
+#include <algorithm>
+#include <optional>
+
+#include "common/strings.h"
+
 namespace xsq::service {
 
 namespace {
 
-// The one canonical field list: ToString renders it in this order,
-// Parse accepts any subset of these names, Merge folds them all.
+constexpr std::string_view kObsEnabledMetric = "xsq_obs_enabled";
+constexpr std::string_view kMetricPrefix = "xsq_";
+
 struct FieldSpec {
-  const char* name;
+  std::string_view name;
   uint64_t StatsSnapshot::*field;
+  obs::ScalarKind kind;
+  obs::ScalarMerge merge;
 };
 
 constexpr FieldSpec kFields[] = {
-    {"sessions_opened", &StatsSnapshot::sessions_opened},
-    {"sessions_rejected", &StatsSnapshot::sessions_rejected},
-    {"sessions_active", &StatsSnapshot::sessions_active},
-    {"chunks_processed", &StatsSnapshot::chunks_processed},
-    {"bytes_consumed", &StatsSnapshot::bytes_consumed},
-    {"items_emitted", &StatsSnapshot::items_emitted},
-    {"pushes_rejected", &StatsSnapshot::pushes_rejected},
-    {"queue_high_water", &StatsSnapshot::queue_high_water},
-    {"engine_buffered_bytes", &StatsSnapshot::engine_buffered_bytes},
-    {"plan_cache_hits", &StatsSnapshot::plan_cache_hits},
-    {"plan_cache_misses", &StatsSnapshot::plan_cache_misses},
-    {"plan_cache_evictions", &StatsSnapshot::plan_cache_evictions},
-    {"doc_cache_hits", &StatsSnapshot::doc_cache_hits},
-    {"doc_cache_misses", &StatsSnapshot::doc_cache_misses},
-    {"doc_cache_evictions", &StatsSnapshot::doc_cache_evictions},
-    {"doc_cache_explicit_evictions",
-     &StatsSnapshot::doc_cache_explicit_evictions},
-    {"doc_cache_documents", &StatsSnapshot::doc_cache_documents},
-    {"doc_cache_bytes", &StatsSnapshot::doc_cache_bytes},
-    {"tape_replays", &StatsSnapshot::tape_replays},
-    {"tape_events_replayed", &StatsSnapshot::tape_events_replayed},
-    {"cancelled", &StatsSnapshot::cancelled},
-    {"deadline_exceeded", &StatsSnapshot::deadline_exceeded},
-    {"limit_rejected", &StatsSnapshot::limit_rejected},
-    {"tape_corrupt", &StatsSnapshot::tape_corrupt},
-    {"connections_accepted", &StatsSnapshot::connections_accepted},
-    {"connections_shed", &StatsSnapshot::connections_shed},
-    {"disconnect_cancels", &StatsSnapshot::disconnect_cancels},
-    {"net_idle_closed", &StatsSnapshot::net_idle_closed},
-    {"net_overrun_closed", &StatsSnapshot::net_overrun_closed},
-    {"subscriptions_active", &StatsSnapshot::subscriptions_active},
-    {"publishes", &StatsSnapshot::publishes},
-    {"events_delivered", &StatsSnapshot::events_delivered},
-    {"fanout_shed", &StatsSnapshot::fanout_shed},
-    {"repl_serves", &StatsSnapshot::repl_serves},
-    {"repl_ingests", &StatsSnapshot::repl_ingests},
-    {"repl_ingest_corrupt", &StatsSnapshot::repl_ingest_corrupt},
+#define XSQ_STATS_SPEC(field, kind, merge)                          \
+  {#field, &StatsSnapshot::field, obs::ScalarKind::kind,            \
+   obs::ScalarMerge::merge},
+    XSQ_SERVICE_STATS(XSQ_STATS_SPEC)
+#undef XSQ_STATS_SPEC
 };
 
 }  // namespace
@@ -66,90 +42,73 @@ std::string StatsSnapshot::ToString() const {
 
 Result<StatsSnapshot> StatsSnapshot::Parse(std::string_view text) {
   StatsSnapshot snap;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
+  for (std::string_view line : Split(text, '\n')) {
     if (line.empty()) continue;
     size_t space = line.find(' ');
     if (space == std::string_view::npos) {
       return Status::ParseError("malformed stats line: " + std::string(line));
     }
     std::string_view name = line.substr(0, space);
-    std::string_view digits = line.substr(space + 1);
-    uint64_t value = 0;
-    if (digits.empty()) {
-      return Status::ParseError("malformed stats line: " + std::string(line));
+    std::optional<uint64_t> value = ParseUint64(line.substr(space + 1));
+    if (!value.has_value()) {
+      return Status::ParseError("bad stats value: " + std::string(line));
     }
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        return Status::ParseError("bad stats value: " + std::string(line));
-      }
-      value = value * 10 + static_cast<uint64_t>(c - '0');
-    }
-    bool known = false;
-    for (const FieldSpec& spec : kFields) {
-      if (name == spec.name) {
-        snap.*spec.field = value;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    auto spec = std::find_if(
+        std::begin(kFields), std::end(kFields),
+        [name](const FieldSpec& candidate) { return candidate.name == name; });
+    if (spec == std::end(kFields)) {
       return Status::ParseError("unknown stats name: " + std::string(name));
     }
+    snap.*spec->field = *value;
   }
   return snap;
 }
 
 void StatsSnapshot::Merge(const StatsSnapshot& other) {
   for (const FieldSpec& spec : kFields) {
-    if (spec.field == &StatsSnapshot::queue_high_water) {
-      if (other.queue_high_water > queue_high_water) {
-        queue_high_water = other.queue_high_water;
-      }
+    uint64_t& mine = this->*spec.field;
+    if (spec.merge == obs::ScalarMerge::kMax) {
+      mine = std::max(mine, other.*spec.field);
     } else {
-      this->*spec.field += other.*spec.field;
+      mine += other.*spec.field;
     }
   }
 }
 
+void StatsSnapshot::AppendMetrics(std::string* out) const {
+  // Whether the per-phase hooks were compiled in; scrapers (and the
+  // smoke test) use this to know if the phase histograms can populate.
+#if XSQ_OBS_ENABLED
+  obs::Registry::AppendScalar(out, kObsEnabledMetric, obs::ScalarKind::kGauge,
+                              1);
+#else
+  obs::Registry::AppendScalar(out, kObsEnabledMetric, obs::ScalarKind::kGauge,
+                              0);
+#endif
+  std::string name(kMetricPrefix);
+  for (const FieldSpec& spec : kFields) {
+    name.resize(kMetricPrefix.size());
+    name += spec.name;
+    obs::Registry::AppendScalar(out, name, spec.kind, this->*spec.field);
+  }
+}
+
+obs::ScalarMerge MetricMergeRule(std::string_view name) {
+  if (name == kObsEnabledMetric) return obs::ScalarMerge::kMax;
+  if (name.starts_with(kMetricPrefix)) {
+    name.remove_prefix(kMetricPrefix.size());
+    for (const FieldSpec& spec : kFields) {
+      if (spec.name == name) return spec.merge;
+    }
+  }
+  return obs::ScalarMerge::kSum;
+}
+
 StatsSnapshot ServiceStats::Snapshot() const {
   StatsSnapshot snap;
-  snap.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  snap.sessions_rejected = sessions_rejected_.load(std::memory_order_relaxed);
-  snap.chunks_processed = chunks_processed_.load(std::memory_order_relaxed);
-  snap.bytes_consumed = bytes_consumed_.load(std::memory_order_relaxed);
-  snap.items_emitted = items_emitted_.load(std::memory_order_relaxed);
-  snap.pushes_rejected = pushes_rejected_.load(std::memory_order_relaxed);
-  snap.queue_high_water = queue_high_water_.load(std::memory_order_relaxed);
-  snap.engine_buffered_bytes = buffered_bytes();
-  snap.tape_replays = tape_replays_.load(std::memory_order_relaxed);
-  snap.tape_events_replayed =
-      tape_events_replayed_.load(std::memory_order_relaxed);
-  snap.cancelled = cancelled_.load(std::memory_order_relaxed);
-  snap.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  snap.limit_rejected = limit_rejected_.load(std::memory_order_relaxed);
-  snap.tape_corrupt = tape_corrupt_.load(std::memory_order_relaxed);
-  snap.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  snap.connections_shed = connections_shed_.load(std::memory_order_relaxed);
-  snap.disconnect_cancels =
-      disconnect_cancels_.load(std::memory_order_relaxed);
-  snap.net_idle_closed = net_idle_closed_.load(std::memory_order_relaxed);
-  snap.net_overrun_closed =
-      net_overrun_closed_.load(std::memory_order_relaxed);
-  int64_t subs = subscriptions_active_.load(std::memory_order_relaxed);
-  snap.subscriptions_active = subs > 0 ? static_cast<uint64_t>(subs) : 0;
-  snap.publishes = publishes_.load(std::memory_order_relaxed);
-  snap.events_delivered = events_delivered_.load(std::memory_order_relaxed);
-  snap.fanout_shed = fanout_shed_.load(std::memory_order_relaxed);
-  snap.repl_serves = repl_serves_.load(std::memory_order_relaxed);
-  snap.repl_ingests = repl_ingests_.load(std::memory_order_relaxed);
-  snap.repl_ingest_corrupt =
-      repl_ingest_corrupt_.load(std::memory_order_relaxed);
+#define XSQ_STATS_LOAD(field, kind, merge) snap.field = Get(Stat::field);
+  XSQ_SERVICE_STATS(XSQ_STATS_LOAD)
+#undef XSQ_STATS_LOAD
   return snap;
 }
 

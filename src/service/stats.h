@@ -9,12 +9,68 @@
 #ifndef XSQ_SERVICE_STATS_H_
 #define XSQ_SERVICE_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "common/status.h"
+#include "obs/exposition.h"
+#include "obs/registry.h"
+
+// Every service counter, declared once. A row X(field, kind, merge)
+// makes the StatsSnapshot field `field` (also its STATS name), its
+// ServiceStats slot Stat::field, the METRICS scalar xsq_<field> of
+// exposition type obs::ScalarKind::kind, and the rule by which a
+// router folds shard values into the cluster figure: kSum for
+// counters and for gauges whose cluster-wide value is the total, kMax
+// for per-process high-water marks. STATS and METRICS list the rows in
+// this order. Plan- and document-cache rows and sessions_active are
+// filled by QueryService::stats() from the caches and the session
+// table; the network rows are recorded by net::Server.
+#define XSQ_SERVICE_STATS(X)                                                  \
+  X(sessions_opened, kCounter, kSum)                                          \
+  X(sessions_rejected, kCounter, kSum)  /* admission control said no */       \
+  X(sessions_active, kGauge, kSum)                                            \
+  X(chunks_processed, kCounter, kSum)                                         \
+  X(bytes_consumed, kCounter, kSum)                                           \
+  X(items_emitted, kCounter, kSum)                                            \
+  X(pushes_rejected, kCounter, kSum)  /* backpressure (queue or budget) */    \
+  X(queue_high_water, kGauge, kMax)  /* most chunks queued on one session */  \
+  X(engine_buffered_bytes, kGauge, kSum)  /* live engine buffers, summed */   \
+  X(plan_cache_hits, kCounter, kSum)                                          \
+  X(plan_cache_misses, kCounter, kSum)                                        \
+  X(plan_cache_evictions, kCounter, kSum)                                     \
+  X(doc_cache_hits, kCounter, kSum)                                           \
+  X(doc_cache_misses, kCounter, kSum)                                         \
+  X(doc_cache_evictions, kCounter, kSum)  /* LRU budget pressure */           \
+  X(doc_cache_explicit_evictions, kCounter, kSum)  /* caller EVICTs */        \
+  X(doc_cache_documents, kGauge, kSum)  /* tapes resident */                  \
+  X(doc_cache_bytes, kGauge, kSum)  /* their summed memory_bytes */           \
+  X(tape_replays, kCounter, kSum)  /* documents served from tape */           \
+  X(tape_events_replayed, kCounter, kSum)                                     \
+  /* Failure modes: caller cancellation, deadline, a ParserLimits         */  \
+  /* rejection, tapes failing integrity checks.                           */  \
+  X(cancelled, kCounter, kSum)                                                \
+  X(deadline_exceeded, kCounter, kSum)                                        \
+  X(limit_rejected, kCounter, kSum)                                           \
+  X(tape_corrupt, kCounter, kSum)                                             \
+  /* Network front end, recorded by net::Server.                          */  \
+  X(connections_accepted, kCounter, kSum)                                     \
+  X(connections_shed, kCounter, kSum)  /* accept-side load shedding */        \
+  X(disconnect_cancels, kCounter, kSum)  /* sessions cancelled on loss */     \
+  X(net_idle_closed, kCounter, kSum)  /* idle / half-open peers reaped */     \
+  X(net_overrun_closed, kCounter, kSum)  /* input/output bound hit */         \
+  /* Pub/sub (standing queries).                                          */  \
+  X(subscriptions_active, kGauge, kSum)                                       \
+  X(publishes, kCounter, kSum)  /* documents published, one parse each */     \
+  X(events_delivered, kCounter, kSum)  /* EVENT frames handed to sinks */     \
+  X(fanout_shed, kCounter, kSum)  /* frames dropped on slow subscribers */    \
+  /* Replication (shard-to-shard tape transfer, REPLPULL).                */  \
+  X(repl_serves, kCounter, kSum)  /* tapes streamed out to a peer shard */    \
+  X(repl_ingests, kCounter, kSum)  /* tapes installed from a peer shard */    \
+  X(repl_ingest_corrupt, kCounter, kSum)  /* pulled tapes failing checks */
 
 namespace xsq::service {
 
@@ -23,49 +79,9 @@ namespace xsq::service {
 // from the PlanCache; they are zero in snapshots taken from a bare
 // ServiceStats.
 struct StatsSnapshot {
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_rejected = 0;   // admission control said no
-  uint64_t sessions_active = 0;
-  uint64_t chunks_processed = 0;
-  uint64_t bytes_consumed = 0;
-  uint64_t items_emitted = 0;
-  uint64_t pushes_rejected = 0;     // backpressure (queue or memory budget)
-  uint64_t queue_high_water = 0;    // most chunks ever queued on one session
-  uint64_t engine_buffered_bytes = 0;  // gauge: live engine buffers, summed
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_evictions = 0;
-  uint64_t doc_cache_hits = 0;
-  uint64_t doc_cache_misses = 0;
-  uint64_t doc_cache_evictions = 0;           // LRU budget pressure
-  uint64_t doc_cache_explicit_evictions = 0;  // caller-requested EVICTs
-  uint64_t doc_cache_documents = 0;  // gauge: tapes resident
-  uint64_t doc_cache_bytes = 0;      // gauge: their summed memory_bytes
-  uint64_t tape_replays = 0;         // documents served from tape
-  uint64_t tape_events_replayed = 0;
-  // Failure-mode counters (the robustness surface): how many requests
-  // died by caller cancellation, by deadline, by a ParserLimits
-  // rejection, and how many tapes failed integrity checks.
-  uint64_t cancelled = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t limit_rejected = 0;
-  uint64_t tape_corrupt = 0;
-  // Network front-end counters (recorded by net::Server into the same
-  // stats block so STATS / METRICS / GET /metrics all tell one story).
-  uint64_t connections_accepted = 0;
-  uint64_t connections_shed = 0;     // accept-side load shedding
-  uint64_t disconnect_cancels = 0;   // sessions cancelled on peer loss
-  uint64_t net_idle_closed = 0;      // idle / half-open peers reaped
-  uint64_t net_overrun_closed = 0;   // input/output buffer bound hit
-  // Pub/sub counters (standing-query subsystem).
-  uint64_t subscriptions_active = 0;  // gauge: live standing queries
-  uint64_t publishes = 0;             // documents published (one parse each)
-  uint64_t events_delivered = 0;      // EVENT frames handed to sinks
-  uint64_t fanout_shed = 0;           // frames dropped on slow subscribers
-  // Replication counters (shard-to-shard tape transfer, REPLPULL).
-  uint64_t repl_serves = 0;           // tapes streamed out to a peer shard
-  uint64_t repl_ingests = 0;          // tapes installed from a peer shard
-  uint64_t repl_ingest_corrupt = 0;   // pulled tapes failing CRC/decoding
+#define XSQ_STATS_FIELD(field, kind, merge) uint64_t field = 0;
+  XSQ_SERVICE_STATS(XSQ_STATS_FIELD)
+#undef XSQ_STATS_FIELD
 
   // One "name value" pair per line, stable names; the xsqd STATS
   // command prints exactly this.
@@ -78,104 +94,59 @@ struct StatsSnapshot {
   // Parse(s.ToString())->ToString() == s.ToString().
   static Result<StatsSnapshot> Parse(std::string_view text);
 
-  // Adds `other` into this snapshot (cluster roll-up). Every field
-  // sums — gauges included, since the cluster-wide "right now" is the
-  // sum over shards — except queue_high_water, a per-session high-water
-  // mark for which the cluster figure is the max over shards.
+  // Folds `other` into this snapshot (cluster roll-up), each field by
+  // its row's merge rule.
   void Merge(const StatsSnapshot& other);
+
+  // Appends the METRICS scalars: xsq_obs_enabled (1 when the per-phase
+  // hooks were compiled in), then one xsq_<field> series per row.
+  void AppendMetrics(std::string* out) const;
+};
+
+// How a router folds the METRICS scalar `name` across shards: the
+// merge rule of its row (xsq_obs_enabled maxes); kSum for any other
+// name.
+obs::ScalarMerge MetricMergeRule(std::string_view name);
+
+// The row index of each counter, for ServiceStats.
+enum class Stat : size_t {
+#define XSQ_STAT_INDEX(field, kind, merge) field,
+  XSQ_SERVICE_STATS(XSQ_STAT_INDEX)
+#undef XSQ_STAT_INDEX
 };
 
 class ServiceStats {
  public:
-  void RecordSessionOpened() { Inc(sessions_opened_); }
-  void RecordSessionRejected() { Inc(sessions_rejected_); }
-  void RecordPushRejected() { Inc(pushes_rejected_); }
-  void RecordChunk(size_t bytes) {
-    Inc(chunks_processed_);
-    bytes_consumed_.fetch_add(bytes, std::memory_order_relaxed);
+  // Counts `n` more events; a gauge's `n` may be negative.
+  void Add(Stat stat, int64_t n = 1) {
+    slot(stat).fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
   }
-  void RecordItems(uint64_t count) {
-    items_emitted_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void RecordTapeReplay(uint64_t events) {
-    Inc(tape_replays_);
-    tape_events_replayed_.fetch_add(events, std::memory_order_relaxed);
-  }
-  void RecordCancelled() { Inc(cancelled_); }
-  void RecordDeadlineExceeded() { Inc(deadline_exceeded_); }
-  void RecordLimitRejected() { Inc(limit_rejected_); }
-  void RecordTapeCorrupt() { Inc(tape_corrupt_); }
-  void RecordConnectionAccepted() { Inc(connections_accepted_); }
-  void RecordConnectionShed() { Inc(connections_shed_); }
-  void RecordDisconnectCancels(uint64_t count) {
-    disconnect_cancels_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void RecordNetIdleClosed() { Inc(net_idle_closed_); }
-  void RecordNetOverrunClosed() { Inc(net_overrun_closed_); }
-  void RecordPublish() { Inc(publishes_); }
-  void RecordEventsDelivered(uint64_t count) {
-    events_delivered_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void RecordFanoutShed(uint64_t count) {
-    fanout_shed_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void RecordReplServe() { Inc(repl_serves_); }
-  void RecordReplIngest() { Inc(repl_ingests_); }
-  void RecordReplIngestCorrupt() { Inc(repl_ingest_corrupt_); }
-  // Gauge; `delta` may be negative (unsubscribe / subscriber teardown).
-  void AdjustSubscriptionsActive(int64_t delta) {
-    subscriptions_active_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void RecordQueueDepth(uint64_t depth) {
-    uint64_t seen = queue_high_water_.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !queue_high_water_.compare_exchange_weak(
-               seen, depth, std::memory_order_relaxed)) {
+  // High-water marks: raises the value to at least `value`.
+  void RaiseTo(Stat stat, uint64_t value) {
+    std::atomic<uint64_t>& cell = slot(stat);
+    uint64_t seen = cell.load(std::memory_order_relaxed);
+    while (value > seen && !cell.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
     }
   }
-
-  // Gauge maintenance; `delta` may be negative.
-  void AdjustBufferedBytes(int64_t delta) {
-    buffered_bytes_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t buffered_bytes() const {
-    int64_t v = buffered_bytes_.load(std::memory_order_relaxed);
-    return v > 0 ? static_cast<uint64_t>(v) : 0;
+  // The current value; a gauge adjusted below zero reads 0.
+  uint64_t Get(Stat stat) const {
+    int64_t value = static_cast<int64_t>(
+        values_[static_cast<size_t>(stat)].load(std::memory_order_relaxed));
+    return value > 0 ? static_cast<uint64_t>(value) : 0;
   }
 
   StatsSnapshot Snapshot() const;
 
  private:
-  static void Inc(std::atomic<uint64_t>& counter) {
-    counter.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<uint64_t>& slot(Stat stat) {
+    return values_[static_cast<size_t>(stat)];
   }
 
-  std::atomic<uint64_t> sessions_opened_{0};
-  std::atomic<uint64_t> sessions_rejected_{0};
-  std::atomic<uint64_t> chunks_processed_{0};
-  std::atomic<uint64_t> bytes_consumed_{0};
-  std::atomic<uint64_t> items_emitted_{0};
-  std::atomic<uint64_t> pushes_rejected_{0};
-  std::atomic<uint64_t> queue_high_water_{0};
-  std::atomic<int64_t> buffered_bytes_{0};
-  std::atomic<uint64_t> tape_replays_{0};
-  std::atomic<uint64_t> tape_events_replayed_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> limit_rejected_{0};
-  std::atomic<uint64_t> tape_corrupt_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_shed_{0};
-  std::atomic<uint64_t> disconnect_cancels_{0};
-  std::atomic<uint64_t> net_idle_closed_{0};
-  std::atomic<uint64_t> net_overrun_closed_{0};
-  std::atomic<int64_t> subscriptions_active_{0};
-  std::atomic<uint64_t> publishes_{0};
-  std::atomic<uint64_t> events_delivered_{0};
-  std::atomic<uint64_t> fanout_shed_{0};
-  std::atomic<uint64_t> repl_serves_{0};
-  std::atomic<uint64_t> repl_ingests_{0};
-  std::atomic<uint64_t> repl_ingest_corrupt_{0};
+#define XSQ_STAT_COUNT(field, kind, merge) +1
+  std::array<std::atomic<uint64_t>, 0 XSQ_SERVICE_STATS(XSQ_STAT_COUNT)>
+      values_{};
+#undef XSQ_STAT_COUNT
 };
 
 }  // namespace xsq::service

@@ -203,7 +203,7 @@ TEST(RegistryTest, LabeledSeriesRenderUnderOneFamily) {
 
 TEST(RegistryTest, AppendScalarFormat) {
   std::string out;
-  Registry::AppendScalar(&out, "xsq_things_total", "counter", 42);
+  Registry::AppendScalar(&out, "xsq_things_total", ScalarKind::kCounter, 42);
   EXPECT_NE(out.find("# TYPE xsq_things_total counter"), std::string::npos);
   EXPECT_NE(out.find("xsq_things_total 42"), std::string::npos);
 }
@@ -264,9 +264,12 @@ TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForHistograms) {
 
 TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForScalars) {
   std::string text;
-  Registry::AppendScalar(&text, "xsq_sessions_opened", "counter", 42);
-  Registry::AppendScalar(&text, "xsq_doc_cache_documents", "gauge", 3);
-  Registry::AppendScalar(&text, "xsq_connections_shed", "counter", 0);
+  Registry::AppendScalar(&text, "xsq_sessions_opened",
+                         ScalarKind::kCounter, 42);
+  Registry::AppendScalar(&text, "xsq_doc_cache_documents",
+                         ScalarKind::kGauge, 3);
+  Registry::AppendScalar(&text, "xsq_connections_shed",
+                         ScalarKind::kCounter, 0);
 
   Result<Exposition> parsed = Exposition::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -286,7 +289,7 @@ TEST(ExpositionTest, MixedScalarAndHistogramDocumentRoundTrips) {
   registry.GetOrCreateHistogram("xsq_request_us", "Request latency.")
       ->Record(123);
   std::string text;
-  Registry::AppendScalar(&text, "xsq_items_emitted", "counter", 9);
+  Registry::AppendScalar(&text, "xsq_items_emitted", ScalarKind::kCounter, 9);
   text += registry.RenderText();
 
   Result<Exposition> parsed = Exposition::Parse(text);
@@ -304,11 +307,13 @@ TEST(ExpositionTest, MergeFromSumsScalarsAndFoldsHistogramsBucketWise) {
   hb->Record(5000);
 
   std::string text_a;
-  Registry::AppendScalar(&text_a, "xsq_sessions_opened", "counter", 2);
+  Registry::AppendScalar(&text_a, "xsq_sessions_opened",
+                         ScalarKind::kCounter, 2);
   text_a += shard_a.RenderText();
   std::string text_b;
-  Registry::AppendScalar(&text_b, "xsq_sessions_opened", "counter", 5);
-  Registry::AppendScalar(&text_b, "xsq_publishes", "counter", 1);
+  Registry::AppendScalar(&text_b, "xsq_sessions_opened",
+                         ScalarKind::kCounter, 5);
+  Registry::AppendScalar(&text_b, "xsq_publishes", ScalarKind::kCounter, 1);
   text_b += shard_b.RenderText();
 
   Result<Exposition> merged = Exposition::Parse(text_a);
@@ -336,6 +341,14 @@ TEST(ExpositionTest, MergeFromSumsScalarsAndFoldsHistogramsBucketWise) {
   Result<Exposition> reparsed = Exposition::Parse(merged->Render());
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->Render(), merged->Render());
+
+  // A caller's rule folds the scalars it names by max instead.
+  merged->MergeFrom(*other, [](std::string_view name) {
+    return name == "xsq_sessions_opened" ? ScalarMerge::kMax
+                                         : ScalarMerge::kSum;
+  });
+  EXPECT_EQ(merged->Find("xsq_sessions_opened")->value, 7u);
+  EXPECT_EQ(merged->Find("xsq_publishes")->value, 2u);
 }
 
 TEST(ExpositionTest, MalformedDataLineIsAParseError) {

@@ -683,15 +683,13 @@ TEST(QueryServiceTapeTest, UnknownDocumentAndEvict) {
   QueryService service(SmallConfig(1));
   auto id = service.OpenSession("//a/text()");
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(service.RunCached(*id, "nope").code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RunCached(*id, "nope").code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.ServeTape("nope").status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(service.RecordDocument("doc", "<a>x</a>").ok());
   ASSERT_TRUE(service.RunCached(*id, "doc").ok());
   ASSERT_TRUE(service.EvictDocument("doc").ok());
-  EXPECT_EQ(service.EvictDocument("doc").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.RunCached(*id, "doc").code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.EvictDocument("doc").code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.RunCached(*id, "doc").code(), StatusCode::kNotFound);
 }
 
 TEST(QueryServiceTapeTest, RecordWithProjectionPreservesResults) {

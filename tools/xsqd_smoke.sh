@@ -100,10 +100,10 @@ OK
 ITEM one
 ITEM two
 OK
-ERR InvalidArgument: document not recorded: missing
+ERR NotFound: document not recorded: missing
 OK
-ERR InvalidArgument: document not recorded: doc
-ERR InvalidArgument: document not recorded: doc'
+ERR NotFound: document not recorded: doc
+ERR NotFound: document not recorded: doc'
 cached_actual=$(echo "$cached" | sed -n '2,12p')
 if [ "$cached_actual" != "$cached_expected" ]; then
   echo "cached-serving protocol output mismatch" >&2
