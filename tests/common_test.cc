@@ -40,6 +40,13 @@ TEST(StatusTest, EveryCodeHasAName) {
                "DeadlineExceeded");
   EXPECT_STREQ(StatusCodeName(StatusCode::kLimitExceeded), "LimitExceeded");
   EXPECT_STREQ(StatusCodeName(StatusCode::kDataCorruption), "DataCorruption");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kNotFound), "NotFound");
+  // The wire decoder inverts the names; "OK" and unknown names are not
+  // error codes.
+  EXPECT_EQ(StatusCodeFromName("NotFound"), StatusCode::kNotFound);
+  EXPECT_EQ(StatusCodeFromName("ParseError"), StatusCode::kParseError);
+  EXPECT_FALSE(StatusCodeFromName("OK").has_value());
+  EXPECT_FALSE(StatusCodeFromName("Frob").has_value());
 }
 
 TEST(Crc32cTest, KnownAnswerVectors) {

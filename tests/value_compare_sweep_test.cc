@@ -4,6 +4,9 @@
 // and contains.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "common/strings.h"
 #include "xpath/ast.h"
 #include "xpath/value_compare.h"
@@ -17,6 +20,34 @@ struct CompareCase {
   const char* literal;
   bool expected;
 };
+
+// gtest_discover_tests appends the printed parameter to each test's
+// name. gtest's default printer dumps the struct's bytes, which hold
+// string addresses and padding that change from build to build (and,
+// under ASLR, from run to run), so the cases print their values instead.
+// A run of eight or more equal characters prints as c{n} ("0{70}42"),
+// which keeps the long numerals' names short and exact.
+void PrintQuoted(std::string_view s, std::ostream* os) {
+  *os << "'";
+  for (size_t i = 0; i < s.size();) {
+    size_t run = 1;
+    while (i + run < s.size() && s[i + run] == s[i]) ++run;
+    if (run >= 8) {
+      *os << s[i] << '{' << run << '}';
+    } else {
+      *os << s.substr(i, run);
+    }
+    i += run;
+  }
+  *os << "'";
+}
+
+void PrintTo(const CompareCase& c, std::ostream* os) {
+  PrintQuoted(c.observed, os);
+  *os << " " << CompareOpName(c.op) << " ";
+  PrintQuoted(c.literal, os);
+  *os << (c.expected ? " is true" : " is false");
+}
 
 class ValueCompareSweep : public ::testing::TestWithParam<CompareCase> {};
 
@@ -100,6 +131,11 @@ struct FormatCase {
   double value;
   const char* expected;
 };
+
+void PrintTo(const FormatCase& c, std::ostream* os) {
+  *os << c.value << " formats as ";
+  PrintQuoted(c.expected, os);
+}
 
 class FormatNumberSweep : public ::testing::TestWithParam<FormatCase> {};
 
