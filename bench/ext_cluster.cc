@@ -25,9 +25,7 @@
 //       the same bytes as before the kill.
 //
 // Any violated bound fails the run (exit status 1).
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -43,6 +41,7 @@
 
 #include "bench_util/timing.h"
 #include "cluster/router.h"
+#include "daemon_rig.h"
 #include "datagen/generators.h"
 #include "fig_util.h"
 #include "net/client.h"
@@ -56,8 +55,6 @@ namespace xsq::bench {
 namespace {
 
 using cluster::Router;
-using cluster::RouterConfig;
-using cluster::ShardAddress;
 using cluster::ShardHealth;
 using net::LineProtocol;
 using service::QueryService;
@@ -66,98 +63,21 @@ using service::StatsSnapshot;
 
 constexpr const char* kQuery = "/dblp/article/title/text()";
 
-// One forked xsqd: --listen=0, stdin parked on /dev/null (the daemon
-// serves sockets after stdin EOF, but a closed stdin would still race
-// startup), stdout piped back so the parent can read the LISTENING
-// banner. Kill(SIGKILL) is leg (d)'s failure injection.
-class ShardProcess {
- public:
-  bool Start(const std::string& binary) {
-    int pipefd[2];
-    if (::pipe(pipefd) != 0) return false;
-    pid_ = ::fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      ::dup2(pipefd[1], STDOUT_FILENO);
-      ::close(pipefd[0]);
-      ::close(pipefd[1]);
-      int devnull = ::open("/dev/null", O_RDONLY);
-      if (devnull >= 0) ::dup2(devnull, STDIN_FILENO);
-      ::execl(binary.c_str(), binary.c_str(), "--listen=0", "--workers=2",
-              static_cast<char*>(nullptr));
-      std::_Exit(127);
-    }
-    ::close(pipefd[1]);
-    // Read the banner a byte at a time; the pipe stays open for the
-    // daemon's lifetime, so a buffered reader would block forever.
-    std::string banner;
-    char ch = 0;
-    while (banner.find('\n') == std::string::npos &&
-           ::read(pipefd[0], &ch, 1) == 1) {
-      banner.push_back(ch);
-    }
-    out_fd_ = pipefd[0];
-    unsigned port = 0;
-    if (std::sscanf(banner.c_str(), "LISTENING %u", &port) != 1 ||
-        port == 0) {
-      Kill(SIGKILL);
-      return false;
-    }
-    port_ = static_cast<uint16_t>(port);
-    return true;
-  }
-
-  void Kill(int sig) {
-    if (pid_ > 0) {
-      ::kill(pid_, sig);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    if (out_fd_ >= 0) {
-      ::close(out_fd_);
-      out_fd_ = -1;
-    }
-  }
-
-  ~ShardProcess() { Kill(SIGTERM); }
-
-  uint16_t port() const { return port_; }
-  pid_t pid() const { return pid_; }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-  uint16_t port_ = 0;
-};
-
 struct Cluster {
-  std::vector<std::unique_ptr<ShardProcess>> shards;
+  std::vector<std::unique_ptr<DaemonProcess>> shards;
   std::unique_ptr<Router> router;
 
   bool Start(const std::string& binary, size_t n) {
-    RouterConfig config;
     for (size_t i = 0; i < n; ++i) {
-      auto shard = std::make_unique<ShardProcess>();
-      if (!shard->Start(binary)) {
+      auto shard = std::make_unique<DaemonProcess>();
+      if (!shard->Start({binary, "--listen=0", "--workers=2"})) {
         std::fprintf(stderr, "failed to start shard %zu\n", i);
         return false;
       }
-      config.shards.push_back(ShardAddress{"127.0.0.1", shard->port()});
       shards.push_back(std::move(shard));
     }
-    config.start_prober = false;  // deterministic: health moves on ProbeNow
-    config.probe.fail_threshold = 1;
-    config.backend.connect_timeout_ms = 500;
-    config.backend.client_max_retries = 0;  // failover is the router's job
-    auto created = Router::Create(std::move(config));
-    if (!created.ok()) {
-      std::fprintf(stderr, "router init failed: %s\n",
-                   created.status().ToString().c_str());
-      return false;
-    }
-    router = *std::move(created);
-    router->ProbeNow();
-    return true;
+    router = StartRouter(shards, 1);
+    return router != nullptr;
   }
 };
 

@@ -1,18 +1,20 @@
 // Extension experiment (paper Section 5): grouping many HPDTs over one
 // parse. The paper argues XSQ's regular HPDT structure allows multiple
-// queries to be grouped YFilter-style; this harness quantifies the
-// first-order effect - sharing the SAX parse - by comparing N queries
-// run through one MultiQueryEngine pass against N independent passes.
+// queries to be grouped YFilter-style; this harness publishes one
+// document to N subscriptions of a pubsub::SubscriptionRegistry (one
+// parse, a shared filter NFA, one tape replay to the predicate-bearing
+// survivors) and compares it against N independent StreamingQuery
+// passes. Exits 1 if a pass fails or the two disagree on item counts.
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util/timing.h"
-#include "core/multi_query.h"
-#include "core/result_sink.h"
+#include "core/streaming_query.h"
 #include "datagen/generators.h"
 #include "fig_util.h"
-#include "xml/sax_parser.h"
+#include "pubsub/subscription_registry.h"
 
 namespace xsq::bench {
 namespace {
@@ -48,31 +50,35 @@ int Main() {
 
     // N separate passes.
     auto separate_start = std::chrono::steady_clock::now();
+    size_t separate_items = 0;
     for (const std::string& query : queries) {
-      core::CountingSink sink;
-      auto parsed = xpath::ParseQuery(query);
-      if (!parsed.ok()) return 1;
-      auto engine = core::XsqEngine::Create(*parsed, &sink);
-      if (!engine.ok()) return 1;
-      xml::SaxParser parser(engine->get());
-      if (!parser.Parse(xml).ok()) return 1;
+      auto engine = core::StreamingQuery::Open(query);
+      if (!engine.ok() || !(*engine)->Push(xml).ok() ||
+          !(*engine)->Close().ok()) {
+        return 1;
+      }
+      while ((*engine)->NextItem()) ++separate_items;
     }
     double separate = Seconds(separate_start);
 
     // One shared pass.
-    std::vector<core::CountingSink> sinks(static_cast<size_t>(n));
-    core::MultiQueryEngine multi;
-    for (int i = 0; i < n; ++i) {
-      if (!multi.AddQuery(queries[static_cast<size_t>(i)],
-                          &sinks[static_cast<size_t>(i)])
-               .ok()) {
-        return 1;
-      }
+    pubsub::SubscriptionRegistry registry;
+    for (const std::string& query : queries) {
+      if (!registry.Subscribe(query).ok()) return 1;
     }
     auto shared_start = std::chrono::steady_clock::now();
-    xml::SaxParser parser(&multi);
-    if (!parser.Parse(xml).ok()) return 1;
+    auto outcome = registry.Publish(xml);
     double shared = Seconds(shared_start);
+    if (!outcome.ok() || outcome->failed_evaluations != 0) return 1;
+    size_t shared_items = 0;
+    for (const pubsub::Delivery& delivery : outcome->deliveries) {
+      shared_items += delivery.items.size();
+    }
+    if (shared_items != separate_items) {
+      std::fprintf(stderr, "%d queries: shared %zu items, separate %zu\n", n,
+                   shared_items, separate_items);
+      return 1;
+    }
 
     double mbps =
         static_cast<double>(xml.size()) / (1024.0 * 1024.0) / shared;

@@ -32,6 +32,7 @@
 
 #include "bench_util/timing.h"
 #include "core/cancel_token.h"
+#include "daemon_rig.h"
 #include "datagen/generators.h"
 #include "fig_util.h"
 #include "net/client.h"
@@ -138,17 +139,6 @@ std::string OpenSession(RawConn* conn) {
   std::string ack = conn->ReadLines(1);
   if (ack.rfind("OK ", 0) != 0) return "";
   return ack.substr(3, ack.find('\n') - 3);
-}
-
-template <typename Predicate>
-bool WaitFor(Predicate predicate, int timeout_ms) {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return predicate();
 }
 
 // ------------------------------------------------------- (a) cancel bound

@@ -20,10 +20,7 @@
 //       key ends up resident on all of its (now two) live owners.
 //
 // Any violated bound fails the run (exit status 1).
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -37,6 +34,7 @@
 
 #include "bench_util/timing.h"
 #include "cluster/router.h"
+#include "daemon_rig.h"
 #include "datagen/generators.h"
 #include "fig_util.h"
 #include "net/client.h"
@@ -47,115 +45,11 @@ namespace xsq::bench {
 namespace {
 
 using cluster::Router;
-using cluster::RouterConfig;
-using cluster::ShardAddress;
 using cluster::ShardHealth;
 using net::LineProtocol;
 
 constexpr const char* kQuery = "/dblp/article/title/text()";
 constexpr double kRecordOverheadBound = 0.15;  // rf=2 vs rf=1 p50
-
-// One forked xsqd: --listen=0, stdin parked on /dev/null, stdout piped
-// back so the parent can read the LISTENING banner. Kill(SIGKILL) is
-// leg (c)'s failure injection.
-class ShardProcess {
- public:
-  bool Start(const std::string& binary) {
-    int pipefd[2];
-    if (::pipe(pipefd) != 0) return false;
-    pid_ = ::fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      ::dup2(pipefd[1], STDOUT_FILENO);
-      ::close(pipefd[0]);
-      ::close(pipefd[1]);
-      int devnull = ::open("/dev/null", O_RDONLY);
-      if (devnull >= 0) ::dup2(devnull, STDIN_FILENO);
-      // --doc-cache=0 (unlimited): leg (b)'s throwaway corpus must not
-      // LRU-evict the replicated documents leg (d) audits.
-      ::execl(binary.c_str(), binary.c_str(), "--listen=0", "--workers=2",
-              "--doc-cache=0", static_cast<char*>(nullptr));
-      std::_Exit(127);
-    }
-    ::close(pipefd[1]);
-    // Byte-at-a-time: the pipe stays open for the daemon's lifetime, so
-    // a buffered reader would block forever.
-    std::string banner;
-    char ch = 0;
-    while (banner.find('\n') == std::string::npos &&
-           ::read(pipefd[0], &ch, 1) == 1) {
-      banner.push_back(ch);
-    }
-    out_fd_ = pipefd[0];
-    unsigned port = 0;
-    if (std::sscanf(banner.c_str(), "LISTENING %u", &port) != 1 ||
-        port == 0) {
-      Kill(SIGKILL);
-      return false;
-    }
-    port_ = static_cast<uint16_t>(port);
-    return true;
-  }
-
-  void Kill(int sig) {
-    if (pid_ > 0) {
-      ::kill(pid_, sig);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    if (out_fd_ >= 0) {
-      ::close(out_fd_);
-      out_fd_ = -1;
-    }
-  }
-
-  ~ShardProcess() { Kill(SIGTERM); }
-
-  uint16_t port() const { return port_; }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-  uint16_t port_ = 0;
-};
-
-std::unique_ptr<Router> MakeRouter(
-    const std::vector<std::unique_ptr<ShardProcess>>& shards, size_t factor) {
-  RouterConfig config;
-  for (const auto& shard : shards) {
-    config.shards.push_back(ShardAddress{"127.0.0.1", shard->port()});
-  }
-  config.start_prober = false;  // deterministic: health moves on ProbeNow
-  config.probe.fail_threshold = 1;
-  config.backend.connect_timeout_ms = 500;
-  config.backend.client_max_retries = 0;  // failover is the router's job
-  config.replication.factor = factor;
-  auto created = Router::Create(std::move(config));
-  if (!created.ok()) {
-    std::fprintf(stderr, "router init failed: %s\n",
-                 created.status().ToString().c_str());
-    return nullptr;
-  }
-  (*created)->ProbeNow();
-  return *std::move(created);
-}
-
-// The shard's resident-document inventory, straight from its
-// REPLSTATUS verb over a throwaway connection.
-bool Inventory(uint16_t port, std::set<std::string>* docs) {
-  net::ClientConfig config;
-  config.port = port;
-  net::Client direct(config);
-  auto reply = direct.Request("REPLSTATUS");
-  if (!reply.ok() || !reply->status.ok()) return false;
-  docs->clear();
-  for (const std::string& line : reply->lines) {
-    if (line.rfind("DOC ", 0) != 0) continue;
-    size_t end = line.find(' ', 4);
-    docs->insert(line.substr(4, end - 4));
-  }
-  return true;
-}
 
 // Opens a session on `handler`; empty string on failure.
 std::string OpenSession(net::ConnectionHandler* handler) {
@@ -305,7 +199,7 @@ int RecordOverhead(Router* rf1, Router* rf2, bool* within) {
 
 // ---------------------------------------------------- (c) SIGKILL failover
 
-int KillFailover(std::vector<std::unique_ptr<ShardProcess>>* shards,
+int KillFailover(std::vector<std::unique_ptr<DaemonProcess>>* shards,
                  Router* router, size_t docs, size_t* victim_out,
                  bool* serves) {
   std::printf("\n(c) SIGKILL the primary: replicas serve, zero re-records\n");
@@ -450,10 +344,13 @@ int Main(int argc, char** argv) {
     docs.push_back(datagen::GenerateDblp(ScaledBytes(128u << 10), seed));
   }
 
-  std::vector<std::unique_ptr<ShardProcess>> shards;
+  std::vector<std::unique_ptr<DaemonProcess>> shards;
   for (size_t i = 0; i < 3; ++i) {
-    auto shard = std::make_unique<ShardProcess>();
-    if (!shard->Start(argv[1])) {
+    auto shard = std::make_unique<DaemonProcess>();
+    // --doc-cache=0 (unlimited): leg (b)'s throwaway corpus must not
+    // LRU-evict the replicated documents leg (d) audits.
+    if (!shard->Start({argv[1], "--listen=0", "--workers=2",
+                       "--doc-cache=0"})) {
       std::fprintf(stderr, "failed to start shard %zu\n", i);
       return 1;
     }
@@ -461,8 +358,8 @@ int Main(int argc, char** argv) {
   }
   // Two routers over the SAME shard processes: the rf=1 comparator uses
   // distinct document names, so the corpora never collide.
-  std::unique_ptr<Router> rf2 = MakeRouter(shards, 2);
-  std::unique_ptr<Router> rf1 = MakeRouter(shards, 1);
+  std::unique_ptr<Router> rf2 = StartRouter(shards, 2);
+  std::unique_ptr<Router> rf1 = StartRouter(shards, 1);
   if (rf2 == nullptr || rf1 == nullptr) return 1;
 
   bool placed = false;

@@ -25,25 +25,22 @@
 //
 // Any violated bound fails the run (exit status 1).
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/gossip.h"
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
+#include "daemon_rig.h"
 #include "datagen/generators.h"
 #include "fig_util.h"
 #include "net/client.h"
@@ -64,72 +61,6 @@ using net::LineProtocol;
 constexpr const char* kQuery = "/dblp/article/title/text()";
 constexpr size_t kDocs = 24;
 
-// One forked child speaking the LISTENING-banner contract (xsqd or
-// xsq_router; the argv vector decides). SIGKILL is leg (b)'s failure
-// injection.
-class ChildProcess {
- public:
-  bool Start(const std::vector<std::string>& argv) {
-    int pipefd[2];
-    if (::pipe(pipefd) != 0) return false;
-    pid_ = ::fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      ::dup2(pipefd[1], STDOUT_FILENO);
-      ::close(pipefd[0]);
-      ::close(pipefd[1]);
-      int devnull = ::open("/dev/null", O_RDONLY);
-      if (devnull >= 0) ::dup2(devnull, STDIN_FILENO);
-      std::vector<char*> args;
-      for (const std::string& arg : argv) {
-        args.push_back(const_cast<char*>(arg.c_str()));
-      }
-      args.push_back(nullptr);
-      ::execv(args[0], args.data());
-      std::_Exit(127);
-    }
-    ::close(pipefd[1]);
-    // Byte-at-a-time: the pipe stays open for the daemon's lifetime,
-    // so a buffered reader would block forever.
-    std::string banner;
-    char ch = 0;
-    while (banner.find('\n') == std::string::npos &&
-           ::read(pipefd[0], &ch, 1) == 1) {
-      banner.push_back(ch);
-    }
-    out_fd_ = pipefd[0];
-    unsigned port = 0;
-    if (std::sscanf(banner.c_str(), "LISTENING %u", &port) != 1 ||
-        port == 0) {
-      Kill(SIGKILL);
-      return false;
-    }
-    port_ = static_cast<uint16_t>(port);
-    return true;
-  }
-
-  void Kill(int sig) {
-    if (pid_ > 0) {
-      ::kill(pid_, sig);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    if (out_fd_ >= 0) {
-      ::close(out_fd_);
-      out_fd_ = -1;
-    }
-  }
-
-  ~ChildProcess() { Kill(SIGTERM); }
-
-  uint16_t port() const { return port_; }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-  uint16_t port_ = 0;
-};
-
 // Binds an ephemeral port, reads it back, releases it: xsq_router A
 // needs B's port on its command line before B exists (and vice versa),
 // so both are reserved up front.
@@ -147,17 +78,6 @@ uint16_t ReserveEphemeralPort() {
   return port;
 }
 
-template <typename Predicate>
-bool WaitFor(Predicate predicate, int timeout_ms = 8000) {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return predicate();
-}
-
 // Scrapes one scalar from a router's METRICS verb reply; -1 on error.
 int64_t ScrapeMetric(net::Client& client, const std::string& name) {
   auto reply = client.Request("METRICS");
@@ -169,22 +89,6 @@ int64_t ScrapeMetric(net::Client& client, const std::string& name) {
     }
   }
   return -1;
-}
-
-// The shard's resident-document inventory via REPLSTATUS.
-bool Inventory(uint16_t port, std::set<std::string>* docs) {
-  net::ClientConfig config;
-  config.port = port;
-  net::Client direct(config);
-  auto reply = direct.Request("REPLSTATUS");
-  if (!reply.ok() || !reply->status.ok()) return false;
-  docs->clear();
-  for (const std::string& line : reply->lines) {
-    if (line.rfind("DOC ", 0) != 0) continue;
-    size_t end = line.find(' ', 4);
-    docs->insert(line.substr(4, end - 4));
-  }
-  return true;
 }
 
 std::string DocName(size_t i) { return "hadoc" + std::to_string(i); }
@@ -296,7 +200,7 @@ int KillRouterMidWorkload(const std::string& router_binary,
   uint16_t port_a = ReserveEphemeralPort();
   uint16_t port_b = ReserveEphemeralPort();
   auto spawn = [&](uint16_t listen, uint16_t peer,
-                   ChildProcess* process) {
+                   DaemonProcess* process) {
     std::vector<std::string> argv = {
         router_binary,
         "--listen=" + std::to_string(listen),
@@ -311,8 +215,8 @@ int KillRouterMidWorkload(const std::string& router_binary,
     }
     return process->Start(argv);
   };
-  ChildProcess router_a;
-  ChildProcess router_b;
+  DaemonProcess router_a;
+  DaemonProcess router_b;
   if (!spawn(port_a, port_b, &router_a) ||
       !spawn(port_b, port_a, &router_b)) {
     std::fprintf(stderr, "failed to start routers\n");
@@ -361,9 +265,12 @@ int KillRouterMidWorkload(const std::string& router_binary,
   net::ClientConfig direct_b;
   direct_b.port = router_b.port();
   net::Client survivor(direct_b);
-  bool peer_marked_down = WaitFor([&] {
-    return ScrapeMetric(survivor, "xsq_router_gossip_peer_down_total") >= 1;
-  });
+  bool peer_marked_down = WaitFor(
+      [&] {
+        return ScrapeMetric(survivor, "xsq_router_gossip_peer_down_total") >=
+               1;
+      },
+      8000, 20);
   int64_t rounds = ScrapeMetric(survivor, "xsq_router_gossip_rounds_total");
 
   // Sticky-session failover: replay every key through the endpoint
@@ -435,7 +342,7 @@ int TranscriptParity(const std::string& router_binary,
     argv.push_back("--shard=" + shard.host + ":" +
                    std::to_string(shard.port));
   }
-  ChildProcess solo;
+  DaemonProcess solo;
   if (!solo.Start(argv)) {
     std::fprintf(stderr, "failed to start the single router\n");
     return 1;
@@ -491,10 +398,10 @@ int Main(int argc, char** argv) {
     docs.push_back(datagen::GenerateDblp(ScaledBytes(24u << 10), seed));
   }
 
-  std::vector<std::unique_ptr<ChildProcess>> shards;
+  std::vector<std::unique_ptr<DaemonProcess>> shards;
   std::vector<ShardAddress> addresses;
   for (size_t i = 0; i < 3; ++i) {
-    auto shard = std::make_unique<ChildProcess>();
+    auto shard = std::make_unique<DaemonProcess>();
     // --doc-cache=0: the audit legs inventory every recorded document.
     if (!shard->Start({argv[1], "--listen=0", "--workers=2",
                        "--doc-cache=0"})) {

@@ -37,6 +37,45 @@ inline double Median(std::vector<double> samples) {
   return *middle;
 }
 
+// Per-round seconds of two legs timed in alternating rounds.
+struct PairedTiming {
+  std::vector<double> a_seconds;
+  std::vector<double> b_seconds;
+
+  // The median over rounds of b's time over a's time in that round.
+  double MedianRatio() const {
+    std::vector<double> ratios;
+    for (size_t i = 0; i < a_seconds.size(); ++i) {
+      ratios.push_back(b_seconds[i] / a_seconds[i]);
+    }
+    return Median(std::move(ratios));
+  }
+};
+
+// Times `a` and `b` over `rounds` rounds: even rounds run a then b, odd
+// rounds b then a. The host's speed drifts over seconds, so a ratio of
+// two legs timed in separate blocks measures the drift as well; paired
+// rounds put both legs under the same conditions.
+template <typename FnA, typename FnB>
+PairedTiming TimePaired(int rounds, FnA&& a, FnB&& b) {
+  PairedTiming timing;
+  auto time = [](auto& fn) {
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    return Seconds(start);
+  };
+  for (int r = 0; r < rounds; ++r) {
+    if (r % 2 == 0) {
+      timing.a_seconds.push_back(time(a));
+      timing.b_seconds.push_back(time(b));
+    } else {
+      timing.b_seconds.push_back(time(b));
+      timing.a_seconds.push_back(time(a));
+    }
+  }
+  return timing;
+}
+
 }  // namespace xsq::bench
 
 #endif  // XSQ_BENCH_UTIL_TIMING_H_

@@ -5,51 +5,10 @@
 #include "common/strings.h"
 #include "core/compiled_plan.h"
 #include "xml/sax_parser.h"
+#include "xml/writer.h"
 #include "xpath/value_compare.h"
 
 namespace xsq::core {
-
-namespace {
-
-bool TagMatches(const xpath::LocationStep& step, std::string_view tag) {
-  return step.IsWildcard() || step.node_test == tag;
-}
-
-bool ChildTagMatches(const xpath::Predicate& predicate, std::string_view tag) {
-  return predicate.child_tag == "*" || predicate.child_tag == tag;
-}
-
-const std::string_view* FindAttr(const std::vector<xml::Attribute>& attributes,
-                                 std::string_view name) {
-  for (const xml::Attribute& attr : attributes) {
-    if (attr.name == name) return &attr.value;
-  }
-  return nullptr;
-}
-
-// True iff the attribute predicate holds for the given attribute list.
-bool AttributePredicateHolds(const xpath::Predicate& predicate,
-                             const std::vector<xml::Attribute>& attributes) {
-  const std::string_view* value = FindAttr(attributes, predicate.attribute);
-  if (value == nullptr) return false;
-  return !predicate.has_comparison || xpath::CompareValue(*value, predicate);
-}
-
-void AppendBeginTag(std::string* out, std::string_view tag,
-                    const std::vector<xml::Attribute>& attributes) {
-  out->push_back('<');
-  out->append(tag);
-  for (const xml::Attribute& attr : attributes) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    out->append(XmlEscape(attr.value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-}
-
-}  // namespace
 
 XsqEngine::XsqEngine(std::vector<std::shared_ptr<const Hpdt>> hpdts,
                      ResultSink* sink)
@@ -243,9 +202,9 @@ void XsqEngine::OnBegin(std::string_view tag,
           p.kind != xpath::PredicateKind::kChildAttribute) {
         continue;
       }
-      if (!ChildTagMatches(p, tag)) continue;
+      if (!p.ChildTagMatches(tag)) continue;
       if (p.kind == xpath::PredicateKind::kChildAttribute &&
-          !AttributePredicateHolds(p, attributes)) {
+          !xpath::AttributePredicateHolds(p, attributes)) {
         continue;
       }
       SatisfyPredicate(match.get(), static_cast<uint32_t>(j));
@@ -266,7 +225,7 @@ void XsqEngine::OnBegin(std::string_view tag,
     const int branch = static_cast<int>(b);
     for (int i = 1; i <= hpdts_[b]->num_layers(); ++i) {
       const xpath::LocationStep& step = steps[static_cast<size_t>(i) - 1];
-      if (!TagMatches(step, tag)) continue;
+      if (!step.TagMatches(tag)) continue;
       if (step.axis == xpath::Axis::kChild) {
         for (const auto& match : stack_.back().matches) {
           if (match->branch == branch && match->bpdt->layer == i - 1) {
@@ -298,7 +257,7 @@ void XsqEngine::OnBegin(std::string_view tag,
     for (size_t j = 0; j < step.predicates.size(); ++j) {
       const xpath::Predicate& p = step.predicates[j];
       if (p.kind == xpath::PredicateKind::kAttribute) {
-        if (!AttributePredicateHolds(p, attributes)) {
+        if (!xpath::AttributePredicateHolds(p, attributes)) {
           dead = true;
           break;
         }
@@ -342,7 +301,7 @@ void XsqEngine::OnBegin(std::string_view tag,
   // for this element if it matched the output step.
   if (output_kind_ == xpath::OutputKind::kElement) {
     std::string begin_tag;
-    AppendBeginTag(&begin_tag, tag, attributes);
+    xml::AppendBeginTag(&begin_tag, tag, attributes);
     AppendToSerializations(begin_tag);
     if (!entry.last_step_matches.empty()) {
       std::shared_ptr<Item> item = MakeItem();
@@ -353,8 +312,8 @@ void XsqEngine::OnBegin(std::string_view tag,
     }
   } else if (output_kind_ == xpath::OutputKind::kAttribute) {
     if (!entry.last_step_matches.empty()) {
-      const std::string_view* value =
-          FindAttr(attributes, hpdts_.front()->query().output.attribute);
+      const std::string_view* value = xpath::FindAttr(
+          attributes, hpdts_.front()->query().output.attribute);
       if (value != nullptr) {
         std::shared_ptr<Item> item = MakeItem();
         AppendToItem(item.get(), *value);
@@ -403,7 +362,7 @@ void XsqEngine::OnText(std::string_view enclosing_tag, std::string_view text,
         if ((match->pending_mask >> j & 1u) == 0) continue;
         const xpath::Predicate& p = predicates[j];
         if (p.kind != xpath::PredicateKind::kChildText) continue;
-        if (!ChildTagMatches(p, enclosing_tag)) continue;
+        if (!p.ChildTagMatches(enclosing_tag)) continue;
         if (!xpath::CompareValue(text, p)) continue;
         SatisfyPredicate(match.get(), static_cast<uint32_t>(j));
         if (match->satisfied()) break;
@@ -436,9 +395,8 @@ void XsqEngine::OnEnd(std::string_view tag, int depth) {
 
   if (output_kind_ == xpath::OutputKind::kElement &&
       !serializations_.empty()) {
-    std::string end_tag = "</";
-    end_tag += tag;
-    end_tag += ">";
+    std::string end_tag;
+    xml::AppendEndTag(&end_tag, tag);
     AppendToSerializations(end_tag);
     // Element items rooted at this element are now complete.
     for (size_t i = serializations_.size(); i > 0; --i) {

@@ -1,50 +1,10 @@
 #include "core/engine_nc.h"
 
 #include "common/strings.h"
+#include "xml/writer.h"
 #include "xpath/value_compare.h"
 
 namespace xsq::core {
-
-namespace {
-
-bool TagMatches(const xpath::LocationStep& step, std::string_view tag) {
-  return step.IsWildcard() || step.node_test == tag;
-}
-
-bool ChildTagMatches(const xpath::Predicate& predicate, std::string_view tag) {
-  return predicate.child_tag == "*" || predicate.child_tag == tag;
-}
-
-const std::string_view* FindAttr(const std::vector<xml::Attribute>& attributes,
-                                 std::string_view name) {
-  for (const xml::Attribute& attr : attributes) {
-    if (attr.name == name) return &attr.value;
-  }
-  return nullptr;
-}
-
-bool AttributePredicateHolds(const xpath::Predicate& predicate,
-                             const std::vector<xml::Attribute>& attributes) {
-  const std::string_view* value = FindAttr(attributes, predicate.attribute);
-  if (value == nullptr) return false;
-  return !predicate.has_comparison || xpath::CompareValue(*value, predicate);
-}
-
-void AppendBeginTag(std::string* out, std::string_view tag,
-                    const std::vector<xml::Attribute>& attributes) {
-  out->push_back('<');
-  out->append(tag);
-  for (const xml::Attribute& attr : attributes) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    out->append(XmlEscape(attr.value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-}
-
-}  // namespace
 
 XsqNcEngine::XsqNcEngine(xpath::Query query, ResultSink* sink)
     : query_(std::move(query)),
@@ -180,9 +140,9 @@ void XsqNcEngine::OnBegin(std::string_view tag,
           p.kind != xpath::PredicateKind::kChildAttribute) {
         continue;
       }
-      if (!ChildTagMatches(p, tag)) continue;
+      if (!p.ChildTagMatches(tag)) continue;
       if (p.kind == xpath::PredicateKind::kChildAttribute &&
-          !AttributePredicateHolds(p, attributes)) {
+          !xpath::AttributePredicateHolds(p, attributes)) {
         continue;
       }
       SatisfyPredicate(d - 1, static_cast<uint32_t>(j));
@@ -195,13 +155,13 @@ void XsqNcEngine::OnBegin(std::string_view tag,
   NcEntry& entry = stack_.back();
   if (d <= num_steps_ && stack_[d - 1].has_match) {
     const xpath::LocationStep& step = query_.steps[d - 1];
-    if (TagMatches(step, tag)) {
+    if (step.TagMatches(tag)) {
       uint32_t pending = 0;
       bool dead = false;
       for (size_t j = 0; j < step.predicates.size(); ++j) {
         const xpath::Predicate& p = step.predicates[j];
         if (p.kind == xpath::PredicateKind::kAttribute) {
-          if (!AttributePredicateHolds(p, attributes)) {
+          if (!xpath::AttributePredicateHolds(p, attributes)) {
             dead = true;
             break;
           }
@@ -220,21 +180,22 @@ void XsqNcEngine::OnBegin(std::string_view tag,
   if (output_kind_ == xpath::OutputKind::kElement) {
     if (serializing_item_ != nullptr) {
       std::string begin_tag;
-      AppendBeginTag(&begin_tag, tag, attributes);
+      xml::AppendBeginTag(&begin_tag, tag, attributes);
       AppendToItem(serializing_item_, begin_tag);
     } else if (entry.has_match && d == num_steps_) {
       NcItem* item = MakeItem();
       item->complete = false;
       AttachItem(item);
       std::string begin_tag;
-      AppendBeginTag(&begin_tag, tag, attributes);
+      xml::AppendBeginTag(&begin_tag, tag, attributes);
       AppendToItem(item, begin_tag);
       serializing_item_ = item;
       serialization_depth_ = depth;
     }
   } else if (entry.has_match && d == num_steps_) {
     if (output_kind_ == xpath::OutputKind::kAttribute) {
-      const std::string_view* value = FindAttr(attributes, query_.output.attribute);
+      const std::string_view* value =
+          xpath::FindAttr(attributes, query_.output.attribute);
       if (value != nullptr) {
         NcItem* item = MakeItem();
         AppendToItem(item, *value);
@@ -278,7 +239,7 @@ void XsqNcEngine::OnText(std::string_view enclosing_tag,
       if ((stack_[d - 1].pending_mask >> j & 1u) == 0) continue;
       const xpath::Predicate& p = predicates[j];
       if (p.kind != xpath::PredicateKind::kChildText) continue;
-      if (!ChildTagMatches(p, enclosing_tag)) continue;
+      if (!p.ChildTagMatches(enclosing_tag)) continue;
       if (!xpath::CompareValue(text, p)) continue;
       SatisfyPredicate(d - 1, static_cast<uint32_t>(j));
       if (stack_[d - 1].satisfied()) break;
@@ -308,9 +269,8 @@ void XsqNcEngine::OnEnd(std::string_view tag, int depth) {
   NcEntry& entry = stack_.back();
 
   if (serializing_item_ != nullptr) {
-    std::string end_tag = "</";
-    end_tag += tag;
-    end_tag += ">";
+    std::string end_tag;
+    xml::AppendEndTag(&end_tag, tag);
     AppendToItem(serializing_item_, end_tag);
     if (depth == serialization_depth_) {
       serializing_item_->complete = true;

@@ -12,14 +12,6 @@ namespace xsq::dom {
 
 namespace {
 
-bool TagMatches(const xpath::LocationStep& step, const Node& element) {
-  return step.IsWildcard() || element.tag() == step.node_test;
-}
-
-bool ChildTagMatches(const xpath::Predicate& predicate, const Node& child) {
-  return predicate.child_tag == "*" || child.tag() == predicate.child_tag;
-}
-
 bool PredicateHolds(const Node& element, const xpath::Predicate& predicate) {
   using xpath::PredicateKind;
   switch (predicate.kind) {
@@ -41,7 +33,7 @@ bool PredicateHolds(const Node& element, const xpath::Predicate& predicate) {
     }
     case PredicateKind::kChild: {
       for (const auto& child : element.children()) {
-        if (child->is_element() && ChildTagMatches(predicate, *child)) {
+        if (child->is_element() && predicate.ChildTagMatches(child->tag())) {
           return true;
         }
       }
@@ -49,7 +41,7 @@ bool PredicateHolds(const Node& element, const xpath::Predicate& predicate) {
     }
     case PredicateKind::kChildAttribute: {
       for (const auto& child : element.children()) {
-        if (!child->is_element() || !ChildTagMatches(predicate, *child)) {
+        if (!child->is_element() || !predicate.ChildTagMatches(child->tag())) {
           continue;
         }
         const std::string* value = child->FindAttribute(predicate.attribute);
@@ -63,7 +55,7 @@ bool PredicateHolds(const Node& element, const xpath::Predicate& predicate) {
     }
     case PredicateKind::kChildText: {
       for (const auto& child : element.children()) {
-        if (!child->is_element() || !ChildTagMatches(predicate, *child)) {
+        if (!child->is_element() || !predicate.ChildTagMatches(child->tag())) {
           continue;
         }
         for (const auto& grandchild : child->children()) {
@@ -83,7 +75,8 @@ void CollectDescendants(const Node& node, const xpath::LocationStep& step,
                         std::unordered_set<const Node*>* out) {
   for (const auto& child : node.children()) {
     if (!child->is_element()) continue;
-    if (TagMatches(step, *child) && ElementMatchesPredicates(*child, step)) {
+    if (step.TagMatches(child->tag()) &&
+        ElementMatchesPredicates(*child, step)) {
       out->insert(child.get());
     }
     CollectDescendants(*child, step, out);
@@ -224,7 +217,7 @@ std::unordered_set<const Node*> ComputeFrontier(
     for (const Node* node : frontier) {
       if (step.axis == xpath::Axis::kChild) {
         for (const auto& child : node->children()) {
-          if (child->is_element() && TagMatches(step, *child) &&
+          if (child->is_element() && step.TagMatches(child->tag()) &&
               ElementMatchesPredicates(*child, step)) {
             next.insert(child.get());
           }

@@ -10,10 +10,6 @@ namespace {
 constexpr int kMaxPathDepth = 16;
 constexpr size_t kMaxPaths = 32;
 
-bool TagMatches(const xpath::LocationStep& step, const std::string& tag) {
-  return step.IsWildcard() || step.node_test == tag;
-}
-
 // True when `predicate` can possibly hold for an element named `tag` in
 // a document that is valid with respect to `dtd`.
 bool PredicateFeasible(const Dtd& dtd, const std::string& tag,
@@ -38,9 +34,7 @@ bool PredicateFeasible(const Dtd& dtd, const std::string& tag,
     case xpath::PredicateKind::kChildAttribute: {
       std::vector<std::string> children = dtd.PossibleChildren(tag);
       for (const std::string& child : children) {
-        if (predicate.child_tag != "*" && child != predicate.child_tag) {
-          continue;
-        }
+        if (!predicate.ChildTagMatches(child)) continue;
         if (predicate.kind == xpath::PredicateKind::kChildText &&
             !dtd.AllowsText(child)) {
           continue;
@@ -106,7 +100,7 @@ bool EnumeratePaths(const Dtd& dtd, const std::string& root_element,
     }
     current.push_back(tag);
     on_path.insert(tag);
-    if (TagMatches(step, tag) && StepFeasible(dtd, tag, step)) {
+    if (step.TagMatches(tag) && StepFeasible(dtd, tag, step)) {
       paths->push_back(current);
       if (paths->size() > kMaxPaths) return false;
     }
@@ -172,7 +166,7 @@ Result<QueryAnalysis> AnalyzeQuery(const Dtd& dtd,
     }
     std::vector<std::string> surviving;
     for (const std::string& tag : candidates) {
-      if (TagMatches(step, tag) && StepFeasible(dtd, tag, step)) {
+      if (step.TagMatches(tag) && StepFeasible(dtd, tag, step)) {
         surviving.push_back(tag);
       }
     }

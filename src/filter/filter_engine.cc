@@ -84,12 +84,12 @@ Status FilterEngine::AddBranch(const std::vector<xpath::LocationStep>& steps,
 void FilterEngine::Matcher::Reset() {
   matched_.assign(engine_->query_count_, 0);
   frontiers_.clear();
-  frontiers_.push_back({0});
+  frontiers_.push_back({Active{0, false}});
   current_accepts_.clear();
 }
 
-void FilterEngine::Matcher::Activate(int node_id, std::vector<int>* next) {
-  next->push_back(node_id);
+void FilterEngine::Matcher::Activate(int node_id, std::vector<Active>* next) {
+  next->push_back(Active{node_id, false});
   const Node& node = engine_->nodes_[static_cast<size_t>(node_id)];
   for (int query_id : node.accepts) {
     current_accepts_.push_back(query_id);
@@ -105,29 +105,41 @@ void FilterEngine::Matcher::OnBegin(
   // probe integer maps per frontier node.
   tag_scratch_.assign(tag.data(), tag.size());
   const uint32_t tag_id = engine_->FindTag(tag_scratch_);
-  std::vector<int> next;
+  std::vector<Active> next;
   const std::vector<Node>& nodes = engine_->nodes_;
-  for (int node_id : frontiers_.back()) {
-    const Node& node = nodes[static_cast<size_t>(node_id)];
+  for (const Active& active : frontiers_.back()) {
+    const Node& node = nodes[static_cast<size_t>(active.node)];
     if (tag_id != kNoTag) {
-      auto child_it = node.child_edges.find(tag_id);
-      if (child_it != node.child_edges.end()) {
-        Activate(child_it->second, &next);
+      if (!active.survived) {
+        auto child_it = node.child_edges.find(tag_id);
+        if (child_it != node.child_edges.end()) {
+          Activate(child_it->second, &next);
+        }
       }
       auto desc_it = node.desc_edges.find(tag_id);
       if (desc_it != node.desc_edges.end()) Activate(desc_it->second, &next);
     }
-    if (node.child_wildcard >= 0) Activate(node.child_wildcard, &next);
+    if (!active.survived && node.child_wildcard >= 0) {
+      Activate(node.child_wildcard, &next);
+    }
     if (node.desc_wildcard >= 0) Activate(node.desc_wildcard, &next);
     // A node with pending '//' continuations stays active while the
     // stream descends below it. This is survival, not a transition:
     // the opened element does not match the node's prefix, so its
     // accepts are NOT reported into current_accepts_ (matched_ was
     // already set when the node was first entered via an edge).
-    if (node.HasDescendantEdges()) next.push_back(node_id);
+    if (node.HasDescendantEdges()) next.push_back(Active{active.node, true});
   }
-  std::sort(next.begin(), next.end());
-  next.erase(std::unique(next.begin(), next.end()), next.end());
+  // One entry per node; where a node is both entered and survived, the
+  // entered entry (sorted first) is kept.
+  std::sort(next.begin(), next.end(), [](const Active& a, const Active& b) {
+    return a.node != b.node ? a.node < b.node : a.survived < b.survived;
+  });
+  next.erase(std::unique(next.begin(), next.end(),
+                         [](const Active& a, const Active& b) {
+                           return a.node == b.node;
+                         }),
+             next.end());
   frontiers_.push_back(std::move(next));
   std::sort(current_accepts_.begin(), current_accepts_.end());
   current_accepts_.erase(

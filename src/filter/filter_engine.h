@@ -110,11 +110,20 @@ class FilterEngine {
     std::vector<int> MatchedIds() const;
 
    private:
-    void Activate(int node_id, std::vector<int>* next);
+    // A frontier entry: a node entered through an edge at the current
+    // element, or one that survived from an ancestor because it has '//'
+    // edges. The current element is the parent of the next one only for
+    // an entered node, so a survived node follows its '//' edges alone.
+    struct Active {
+      int node;
+      bool survived;
+    };
+
+    void Activate(int node_id, std::vector<Active>* next);
 
     const FilterEngine* engine_;
     std::vector<uint8_t> matched_;
-    std::vector<std::vector<int>> frontiers_;
+    std::vector<std::vector<Active>> frontiers_;
     std::vector<int> current_accepts_;
     // Per-event scratch: the incoming tag is interned-looked-up once
     // into this buffer (one string hash per event, not one per frontier

@@ -1,26 +1,10 @@
 #include "lazydfa/lazy_dfa_engine.h"
 
 #include "common/strings.h"
+#include "xml/writer.h"
+#include "xpath/value_compare.h"
 
 namespace xsq::lazydfa {
-
-namespace {
-
-void AppendBeginTag(std::string* out, std::string_view tag,
-                    const std::vector<xml::Attribute>& attributes) {
-  out->push_back('<');
-  out->append(tag);
-  for (const xml::Attribute& attr : attributes) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    out->append(XmlEscape(attr.value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-}
-
-}  // namespace
 
 LazyDfaEngine::LazyDfaEngine(xpath::Query query, core::ResultSink* sink)
     : query_(std::move(query)),
@@ -110,7 +94,7 @@ int LazyDfaEngine::Transition(int state_id, std::string_view tag) {
     for (int i = 0; i < static_cast<int>(steps.size()); ++i) {
       if ((from >> (offset + i) & 1) == 0) continue;
       const xpath::LocationStep& step = steps[static_cast<size_t>(i)];
-      bool tag_ok = step.IsWildcard() || step.node_test == tag;
+      bool tag_ok = step.TagMatches(tag);
       if (step.axis == xpath::Axis::kClosure) {
         to |= uint64_t{1} << (offset + i);  // ".*": stay at any depth
         if (tag_ok) to |= uint64_t{1} << (offset + i + 1);
@@ -151,7 +135,7 @@ void LazyDfaEngine::OnBegin(std::string_view tag,
   if (output_kind_ == xpath::OutputKind::kElement) {
     if (!open_serializations_.empty() || accepting) {
       std::string begin_tag;
-      AppendBeginTag(&begin_tag, tag, attributes);
+      xml::AppendBeginTag(&begin_tag, tag, attributes);
       for (PendingElement* pending : open_serializations_) {
         pending->value.append(begin_tag);
         memory_.Add(begin_tag.size());
@@ -165,11 +149,9 @@ void LazyDfaEngine::OnBegin(std::string_view tag,
       }
     }
   } else if (accepting && output_kind_ == xpath::OutputKind::kAttribute) {
-    for (const xml::Attribute& attr : attributes) {
-      if (attr.name == query_.output.attribute) {
-        sink_->OnItem(attr.value);
-        break;
-      }
+    if (const std::string_view* value =
+            xpath::FindAttr(attributes, query_.output.attribute)) {
+      sink_->OnItem(*value);
     }
   }
 }
@@ -193,9 +175,8 @@ void LazyDfaEngine::OnEnd(std::string_view tag, int /*depth*/) {
   if (!status_.ok()) return;
   if (output_kind_ == xpath::OutputKind::kElement &&
       !open_serializations_.empty()) {
-    std::string end_tag = "</";
-    end_tag += tag;
-    end_tag += ">";
+    std::string end_tag;
+    xml::AppendEndTag(&end_tag, tag);
     for (PendingElement* pending : open_serializations_) {
       pending->value.append(end_tag);
       memory_.Add(end_tag.size());

@@ -39,7 +39,7 @@ void NaiveEngine::OnDocumentBegin() { Reset(); }
 
 bool NaiveEngine::IsCandidate(std::string_view tag, int depth) const {
   const xpath::LocationStep& first = query_.steps.front();
-  if (!first.IsWildcard() && first.node_test != tag) return false;
+  if (!first.TagMatches(tag)) return false;
   // A child-axis first step only matches the root element; a closure
   // first step matches the tag at any depth (nested occurrences are
   // covered by the enclosing candidate's evaluation).

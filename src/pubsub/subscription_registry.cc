@@ -8,36 +8,10 @@
 #include "tape/recorder.h"
 #include "tape/replayer.h"
 #include "tape/tape.h"
+#include "xml/writer.h"
+#include "xpath/value_compare.h"
 
 namespace xsq::pubsub {
-
-namespace {
-
-const std::string_view* FindAttr(const std::vector<xml::Attribute>& attributes,
-                                 std::string_view name) {
-  for (const xml::Attribute& attr : attributes) {
-    if (attr.name == name) return &attr.value;
-  }
-  return nullptr;
-}
-
-// Serialized begin tag, byte-identical to the query engines' element
-// output (attribute values XML-escaped, names raw).
-void AppendBeginTag(std::string* out, std::string_view tag,
-                    const std::vector<xml::Attribute>& attributes) {
-  out->push_back('<');
-  out->append(tag);
-  for (const xml::Attribute& attr : attributes) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    out->append(XmlEscape(attr.value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-}
-
-}  // namespace
 
 xpath::Query SubscriptionRegistry::Skeleton(const xpath::Query& query) {
   xpath::Query skeleton = query;
@@ -130,7 +104,7 @@ class SubscriptionRegistry::DirectRun : public xml::SaxHandler {
     Frame& frame = frames_.back();
     std::string begin_tag;
     if (!open_sers_.empty()) {
-      AppendBeginTag(&begin_tag, tag, attributes);
+      xml::AppendBeginTag(&begin_tag, tag, attributes);
       for (Ser& ser : open_sers_) ser.buf.append(begin_tag);
     }
     for (int filter_id : matcher_.current_accepts()) {
@@ -139,7 +113,9 @@ class SubscriptionRegistry::DirectRun : public xml::SaxHandler {
       Out& out = outs_[static_cast<size_t>(filter_id)];
       switch (sub.query.output.kind) {
         case xpath::OutputKind::kElement: {
-          if (begin_tag.empty()) AppendBeginTag(&begin_tag, tag, attributes);
+          if (begin_tag.empty()) {
+            xml::AppendBeginTag(&begin_tag, tag, attributes);
+          }
           // Item slot reserved now so emission order is match order
           // even when matches nest; the serialization fills it at the
           // element's end event.
@@ -153,7 +129,7 @@ class SubscriptionRegistry::DirectRun : public xml::SaxHandler {
           break;
         case xpath::OutputKind::kAttribute: {
           const std::string_view* value =
-              FindAttr(attributes, sub.query.output.attribute);
+              xpath::FindAttr(attributes, sub.query.output.attribute);
           if (value != nullptr) out.items.emplace_back(*value);
           break;
         }
@@ -184,9 +160,8 @@ class SubscriptionRegistry::DirectRun : public xml::SaxHandler {
 
   void OnEnd(std::string_view tag, int depth) override {
     if (!open_sers_.empty()) {
-      std::string end_tag = "</";
-      end_tag.append(tag);
-      end_tag.push_back('>');
+      std::string end_tag;
+      xml::AppendEndTag(&end_tag, tag);
       for (Ser& ser : open_sers_) ser.buf.append(end_tag);
       // Serializations opened at this element are complete. They form a
       // suffix of the open list: anything opened deeper already closed

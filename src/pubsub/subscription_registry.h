@@ -6,7 +6,8 @@
 // evaluates full predicates but runs one engine per query. This module
 // combines the two halves into the "millions of users" workload shape:
 // register Q XPath subscriptions, publish documents, and each document
-// is parsed exactly once regardless of Q.
+// is parsed exactly once regardless of Q. It is the one path for many
+// queries over one parse (the HPDT grouping of the paper's Section 5).
 //
 // Publish pipeline (the parse-once / fan-out-many contract):
 //

@@ -5,7 +5,6 @@
 #include "common/failpoints.h"
 #include "common/strings.h"
 #include "obs/timer.h"
-#include "tape/projection.h"
 #include "tape/recorder.h"
 
 namespace xsq::service {
@@ -236,8 +235,7 @@ Status QueryService::ResetSession(SessionId id) {
 }
 
 Result<std::shared_ptr<const tape::Tape>> QueryService::RecordDocument(
-    std::string_view name, std::string_view document,
-    const std::vector<std::string>& projection_queries) {
+    std::string_view name, std::string_view document) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return Status::InvalidArgument("service is shut down");
@@ -246,22 +244,7 @@ Result<std::shared_ptr<const tape::Tape>> QueryService::RecordDocument(
   XSQ_FAILPOINT("service.record.alloc_fail",
                 return Status::ResourceExhausted(
                     "injected tape allocation failure"));
-
-  tape::ProjectionMask mask;
-  if (!projection_queries.empty()) {
-    std::vector<std::shared_ptr<const core::CompiledPlan>> plans;
-    plans.reserve(projection_queries.size());
-    for (const std::string& query_text : projection_queries) {
-      XSQ_ASSIGN_OR_RETURN(std::shared_ptr<const core::CompiledPlan> plan,
-                           plan_cache_.GetOrCompile(query_text));
-      plans.push_back(std::move(plan));
-    }
-    mask = tape::ProjectionMask::FromPlans(plans);
-  }
-  XSQ_ASSIGN_OR_RETURN(
-      tape::Tape recorded,
-      tape::RecordDocument(document,
-                           projection_queries.empty() ? nullptr : &mask));
+  XSQ_ASSIGN_OR_RETURN(tape::Tape recorded, tape::RecordDocument(document));
   auto tape = std::make_shared<const tape::Tape>(std::move(recorded));
   doc_cache_.Put(name, tape);
   return tape;

@@ -169,14 +169,9 @@ class QueryService {
 
   // Parses `document` once, records it as a tape under `name` in the
   // document cache (replacing any previous recording), and returns the
-  // tape. If `projection_queries` is non-empty, the tape is projected at
-  // record time: events provably irrelevant to every listed query are
-  // dropped, shrinking the tape while keeping RunCached results for
-  // those queries (and any query they subsume) identical. The queries
-  // are compiled through the plan cache, warming it for later sessions.
+  // tape.
   Result<std::shared_ptr<const tape::Tape>> RecordDocument(
-      std::string_view name, std::string_view document,
-      const std::vector<std::string>& projection_queries = {});
+      std::string_view name, std::string_view document);
 
   // Evaluates the cached document `name` on session `id` by replaying
   // its tape, synchronously on the calling thread. The session is

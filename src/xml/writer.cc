@@ -13,16 +13,7 @@ void XmlWriter::Indent() {
 void XmlWriter::BeginElement(std::string_view tag,
                              const std::vector<Attribute>& attributes) {
   Indent();
-  out_.push_back('<');
-  out_.append(tag);
-  for (const Attribute& attr : attributes) {
-    out_.push_back(' ');
-    out_.append(attr.name);
-    out_.append("=\"");
-    out_.append(XmlEscape(attr.value));
-    out_.push_back('"');
-  }
-  out_.push_back('>');
+  AppendBeginTag(&out_, tag, attributes);
   ++depth_;
   needs_indent_ = true;
 }
@@ -33,9 +24,7 @@ void XmlWriter::EndElement(std::string_view tag) {
     // The element had nested children; close on its own line.
     Indent();
   }
-  out_.append("</");
-  out_.append(tag);
-  out_.push_back('>');
+  AppendEndTag(&out_, tag);
   needs_indent_ = true;
 }
 
@@ -45,15 +34,9 @@ void XmlWriter::Text(std::string_view text) {
 }
 
 void XmlWriter::TextElement(std::string_view tag, std::string_view text) {
-  Indent();
-  out_.push_back('<');
-  out_.append(tag);
-  out_.push_back('>');
-  out_.append(XmlEscape(text));
-  out_.append("</");
-  out_.append(tag);
-  out_.push_back('>');
-  needs_indent_ = true;
+  BeginElement(tag);
+  Text(text);
+  EndElement(tag);
 }
 
 void XmlWriter::Doctype(std::string_view name,

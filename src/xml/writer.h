@@ -8,9 +8,36 @@
 #include <string_view>
 #include <vector>
 
+#include "common/strings.h"
 #include "xml/events.h"
 
 namespace xsq::xml {
+
+// Appends `<tag name="value" ...>`: the one begin-tag format of every
+// serialized element (engine element output, pub/sub, XmlWriter).
+// Attribute values are escaped; the tag and names are written verbatim.
+// `Attributes` is a list of Attribute or OwnedAttribute.
+template <typename Attributes>
+void AppendBeginTag(std::string* out, std::string_view tag,
+                    const Attributes& attributes) {
+  out->push_back('<');
+  out->append(tag);
+  for (const auto& attr : attributes) {
+    out->push_back(' ');
+    out->append(attr.name);
+    out->append("=\"");
+    out->append(XmlEscape(attr.value));
+    out->push_back('"');
+  }
+  out->push_back('>');
+}
+
+// Appends `</tag>`.
+inline void AppendEndTag(std::string* out, std::string_view tag) {
+  out->append("</");
+  out->append(tag);
+  out->push_back('>');
+}
 
 // Incrementally builds a serialized XML fragment or document.
 // Attribute values and text are escaped; tags are written verbatim.

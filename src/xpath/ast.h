@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -43,6 +44,10 @@ struct Predicate {
   std::string literal;                    // comparison constant (raw text)
   std::optional<double> literal_number;   // set when `literal` is numeric
 
+  // True iff an element named `tag` is a child this predicate tests.
+  bool ChildTagMatches(std::string_view tag) const {
+    return child_tag == "*" || child_tag == tag;
+  }
   std::string ToString() const;
 };
 
@@ -52,6 +57,10 @@ struct LocationStep {
   std::vector<Predicate> predicates;
 
   bool IsWildcard() const { return node_test == "*"; }
+  // True iff an element named `tag` passes this step's node test.
+  bool TagMatches(std::string_view tag) const {
+    return IsWildcard() || node_test == tag;
+  }
   std::string ToString() const;
 };
 

@@ -24,6 +24,28 @@ bool CompareValue(std::string_view observed, CompareOp op,
                   std::string_view literal, bool literal_is_number,
                   double literal_number);
 
+// The value of the attribute called `name`, or nullptr. `Attributes` is
+// a list of xml::Attribute or xml::OwnedAttribute (anything with `name`
+// and `value` members); xpath does not depend on xml.
+template <typename Attributes>
+auto FindAttr(const Attributes& attributes, std::string_view name)
+    -> decltype(&attributes.begin()->value) {
+  for (const auto& attr : attributes) {
+    if (attr.name == name) return &attr.value;
+  }
+  return nullptr;
+}
+
+// True iff the attribute predicate [@a] or [@a OP c] holds for an
+// element with `attributes`.
+template <typename Attributes>
+bool AttributePredicateHolds(const Predicate& predicate,
+                             const Attributes& attributes) {
+  const auto* value = FindAttr(attributes, predicate.attribute);
+  return value != nullptr &&
+         (!predicate.has_comparison || CompareValue(*value, predicate));
+}
+
 }  // namespace xsq::xpath
 
 #endif  // XSQ_XPATH_VALUE_COMPARE_H_

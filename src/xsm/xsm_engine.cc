@@ -1,45 +1,10 @@
 #include "xsm/xsm_engine.h"
 
 #include "common/strings.h"
+#include "xml/writer.h"
 #include "xpath/value_compare.h"
 
 namespace xsq::xsm {
-
-namespace {
-
-bool TagMatches(const xpath::LocationStep& step, std::string_view tag) {
-  return step.IsWildcard() || step.node_test == tag;
-}
-
-bool ChildTagMatches(const xpath::Predicate& predicate, std::string_view tag) {
-  return predicate.child_tag == "*" || predicate.child_tag == tag;
-}
-
-bool AttributePredicateHolds(const xpath::Predicate& predicate,
-                             const std::vector<xml::OwnedAttribute>& attributes) {
-  for (const xml::OwnedAttribute& attr : attributes) {
-    if (attr.name == predicate.attribute) {
-      return !predicate.has_comparison ||
-             xpath::CompareValue(attr.value, predicate);
-    }
-  }
-  return false;
-}
-
-void AppendBeginTag(std::string* out, const Token& token) {
-  out->push_back('<');
-  out->append(token.tag);
-  for (const xml::OwnedAttribute& attr : token.attributes) {
-    out->push_back(' ');
-    out->append(attr.name);
-    out->append("=\"");
-    out->append(XmlEscape(attr.value));
-    out->push_back('"');
-  }
-  out->push_back('>');
-}
-
-}  // namespace
 
 size_t Token::ApproxBytes() const {
   size_t bytes = sizeof(Token) + tag.size() + text.size();
@@ -70,7 +35,7 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
         if (depth_ == 1) {
           StartElement(token);
         } else if (output_.kind == xpath::OutputKind::kElement) {
-          AppendBeginTag(&serialized_, token);
+          xml::AppendBeginTag(&serialized_, token.tag, token.attributes);
         }
         break;
       case Token::Type::kText:
@@ -86,9 +51,7 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
         break;
       case Token::Type::kEnd:
         if (output_.kind == xpath::OutputKind::kElement) {
-          serialized_ += "</";
-          serialized_ += token.tag;
-          serialized_ += ">";
+          xml::AppendEndTag(&serialized_, token.tag);
         }
         if (depth_ == 1) FinishElement();
         --depth_;
@@ -114,14 +77,12 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
     switch (output_.kind) {
       case xpath::OutputKind::kElement:
         serialized_.clear();
-        AppendBeginTag(&serialized_, token);
+        xml::AppendBeginTag(&serialized_, token.tag, token.attributes);
         break;
       case xpath::OutputKind::kAttribute:
-        for (const xml::OwnedAttribute& attr : token.attributes) {
-          if (attr.name == output_.attribute) {
-            sink_->OnItem(attr.value);
-            break;
-          }
+        if (const std::string* value =
+                xpath::FindAttr(token.attributes, output_.attribute)) {
+          sink_->OnItem(*value);
         }
         break;
       case xpath::OutputKind::kText:
@@ -208,12 +169,13 @@ class XsmEngine::Stage : public TokenSinkBase {
  private:
   void BeginCandidate(const Token& token) {
     in_candidate_ = false;
-    if (!TagMatches(step_, token.tag)) return;
+    if (!step_.TagMatches(token.tag)) return;
     uint32_t pending = 0;
     for (size_t j = 0; j < step_.predicates.size(); ++j) {
       const xpath::Predicate& p = step_.predicates[j];
       if (p.kind == xpath::PredicateKind::kAttribute) {
-        if (!AttributePredicateHolds(p, token.attributes)) return;  // dead
+        // A failing attribute predicate means the candidate is dead.
+        if (!xpath::AttributePredicateHolds(p, token.attributes)) return;
       } else {
         pending |= 1u << j;
       }
@@ -229,10 +191,10 @@ class XsmEngine::Stage : public TokenSinkBase {
       if ((pending_mask_ >> j & 1u) == 0) continue;
       const xpath::Predicate& p = predicates[j];
       if (p.kind == xpath::PredicateKind::kChild) {
-        if (ChildTagMatches(p, token.tag)) Satisfy(static_cast<uint32_t>(j));
+        if (p.ChildTagMatches(token.tag)) Satisfy(static_cast<uint32_t>(j));
       } else if (p.kind == xpath::PredicateKind::kChildAttribute) {
-        if (ChildTagMatches(p, token.tag) &&
-            AttributePredicateHolds(p, token.attributes)) {
+        if (p.ChildTagMatches(token.tag) &&
+            xpath::AttributePredicateHolds(p, token.attributes)) {
           Satisfy(static_cast<uint32_t>(j));
         }
       }
@@ -258,7 +220,7 @@ class XsmEngine::Stage : public TokenSinkBase {
       const xpath::Predicate& p = predicates[j];
       if (p.kind != xpath::PredicateKind::kChildText) continue;
       // token.tag carries the enclosing (child) element's tag.
-      if (ChildTagMatches(p, token.tag) &&
+      if (p.ChildTagMatches(token.tag) &&
           xpath::CompareValue(token.text, p)) {
         Satisfy(static_cast<uint32_t>(j));
       }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
+#include "bench_util/timing.h"
 #include "datagen/generators.h"
 
 namespace xsq::bench {
@@ -103,6 +106,22 @@ TEST(TableTest, Formatting) {
   EXPECT_EQ(FormatBytes(512), "512B");
   EXPECT_EQ(FormatBytes(64 * 1024), "64.0KB");
   EXPECT_EQ(FormatBytes(20 * 1024 * 1024), "20.0MB");
+}
+
+TEST(TimingTest, PairedRoundsAlternateWhichLegRunsFirst) {
+  std::string order;
+  PairedTiming timing =
+      TimePaired(4, [&order] { order += 'a'; }, [&order] { order += 'b'; });
+  EXPECT_EQ(order, "abbaabba");
+  EXPECT_EQ(timing.a_seconds.size(), 4u);
+  EXPECT_EQ(timing.b_seconds.size(), 4u);
+}
+
+TEST(TimingTest, MedianRatioIsTakenPerRound) {
+  PairedTiming timing;
+  timing.a_seconds = {1.0, 2.0, 4.0};
+  timing.b_seconds = {3.0, 20.0, 8.0};  // per-round ratios 3, 10, 2
+  EXPECT_DOUBLE_EQ(timing.MedianRatio(), 3.0);
 }
 
 }  // namespace

@@ -78,6 +78,24 @@ TEST(FilterEngineTest, ClosureInMiddle) {
   EXPECT_EQ(engine.FilterDocument("<r><x><y/></x></r>")->size(), 1u);
 }
 
+TEST(FilterEngineTest, ChildStepsDoNotMatchBelowTheirParent) {
+  // The root and /r keep '//' edges, so both stay in the frontier while
+  // the stream descends; below their own element only those edges may
+  // fire, not their '/' edges or '/*'.
+  FilterEngine engine;
+  ASSERT_TRUE(engine.AddQuery("//z").ok());    // 0
+  ASSERT_TRUE(engine.AddQuery("/a").ok());     // 1
+  ASSERT_TRUE(engine.AddQuery("/r//z").ok());  // 2
+  ASSERT_TRUE(engine.AddQuery("/r/b").ok());   // 3
+  ASSERT_TRUE(engine.AddQuery("/r/*").ok());   // 4
+  auto matched = engine.FilterDocument("<r><x><a/><b/></x></r>");
+  ASSERT_TRUE(matched.ok());
+  EXPECT_EQ(*matched, std::vector<int>{4});
+  matched = engine.FilterDocument("<a><r><b/></r></a>");
+  ASSERT_TRUE(matched.ok());
+  EXPECT_EQ(*matched, std::vector<int>{1});
+}
+
 TEST(FilterEngineTest, WildcardSteps) {
   FilterEngine engine;
   ASSERT_TRUE(engine.AddQuery("/r/*/leaf").ok());

@@ -2,7 +2,8 @@
 //   - pubsub::SubscriptionRegistry unit behavior (lifecycle, shared-NFA
 //     dedup, skeleton pruning invariants, per-output-kind emission)
 //   - differential parity against standalone StreamingQuery evaluation
-//     on the SHAKE / NASA / DBLP synthetic corpora
+//     on the SHAKE / NASA / DBLP synthetic corpora, on random queries
+//     over random documents, and at corpus scale
 //   - QueryService integration: asynchronous fan-out to sinks, the
 //     slow-subscriber shed policy, RemoveSubscriber's no-sink-after-
 //     return guarantee, and a 16-subscriber fault-storm soak with one
@@ -23,6 +24,7 @@
 #include "datagen/generators.h"
 #include "pubsub/subscription_registry.h"
 #include "service/query_service.h"
+#include "test_util.h"
 
 namespace xsq {
 namespace {
@@ -168,6 +170,7 @@ TEST(SubscriptionRegistryTest, PredicateFreeOutputKindsMatchStandalone) {
           "//book/count()",        // count
           "//missing/text()",      // no matches at all
           "//book/price/avg()",    // avg over two values
+          "/book/@id",             // no match: book is not the root
       },
       document);
 }
@@ -326,6 +329,93 @@ TEST(PubSubDifferentialTest, DblpCorpus) {
       },
       xml);
 }
+
+TEST(ScaleMultiQueryTest, ClosureQueriesShareOneParseAtScale) {
+  ExpectPublishMatchesStandalone(
+      {
+          "//pub[year]//book[@id]/title/text()",
+          "//book/price/sum()",
+          "//pub//pub/count()",
+      },
+      datagen::GenerateRecursivePubs(150000, 17));
+}
+
+// ---------------------------------------------------------------------------
+// Many queries over one parse: the registry is the one multi-query path.
+
+constexpr const char* kLibrary =
+    "<lib>"
+    "<book id=\"1\"><title>Streams</title><price>10</price></book>"
+    "<book id=\"2\"><title>Trees</title><price>30</price></book>"
+    "<cd><title>Tunes</title></cd>"
+    "</lib>";
+
+TEST(MultiQueryTest, IndependentResultsPerQuery) {
+  SubscriptionRegistry registry;
+  auto titles = registry.Subscribe("//title/text()");
+  auto cheap = registry.Subscribe("/lib/book[price<20]/title/text()");
+  auto count = registry.Subscribe("//book/count()");
+  ASSERT_TRUE(titles.ok() && cheap.ok() && count.ok());
+  auto outcome = registry.Publish(kLibrary);
+  ASSERT_TRUE(outcome.ok());
+  std::map<uint64_t, Delivery> by_id = DeliveriesById(*outcome);
+  EXPECT_EQ(by_id[*titles].items,
+            (std::vector<std::string>{"Streams", "Trees", "Tunes"}));
+  EXPECT_EQ(by_id[*cheap].items, std::vector<std::string>{"Streams"});
+  ASSERT_TRUE(by_id[*count].aggregate.has_value());
+  EXPECT_DOUBLE_EQ(*by_id[*count].aggregate, 2.0);
+}
+
+TEST(MultiQueryTest, BadQueryIsRejectedWithoutPoisoningOthers) {
+  SubscriptionRegistry registry;
+  EXPECT_FALSE(registry.Subscribe("not a query").ok());
+  ASSERT_TRUE(registry.Subscribe("//title/text()").ok());
+  EXPECT_EQ(registry.subscription_count(), 1u);
+  auto outcome = registry.Publish(kLibrary);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->deliveries.size(), 1u);
+  EXPECT_EQ(outcome->deliveries[0].items.size(), 3u);
+}
+
+TEST(MultiQueryTest, SharedParseMatchesIndividualRuns) {
+  ExpectPublishMatchesStandalone(
+      {
+          "//book/@id",
+          "/lib/*/title/text()",
+          "//book[price>20]",
+          "//book/price/sum()",
+          "/lib/cd/title/text()",
+      },
+      kLibrary);
+}
+
+TEST(MultiQueryTest, ReusableAcrossDocuments) {
+  SubscriptionRegistry registry;
+  ASSERT_TRUE(registry.Subscribe("//a/text()").ok());
+  for (const char* text : {"1", "2"}) {
+    auto outcome = registry.Publish(std::string("<r><a>") + text + "</a></r>");
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome->deliveries.size(), 1u);
+    EXPECT_EQ(outcome->deliveries[0].items, std::vector<std::string>{text});
+  }
+}
+
+class MultiQueryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Seeds 1, 3, 10 and 11 catch a shared NFA that lets '/' edges fire
+// below a '//' node.
+TEST_P(MultiQueryPropertyTest, RandomQueriesOverRandomDocuments) {
+  const uint64_t seed = GetParam();
+  std::vector<std::string> queries;
+  for (uint64_t i = 0; i < 6; ++i) {
+    queries.push_back(testutil::RandomQuery(seed * 31 + i));
+  }
+  ExpectPublishMatchesStandalone(queries,
+                                 testutil::RandomDocument(seed + 500));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiQueryPropertyTest,
+                         ::testing::Range(uint64_t{0}, uint64_t{15}));
 
 // ---------------------------------------------------------------------------
 // QueryService integration: asynchronous fan-out.

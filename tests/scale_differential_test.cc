@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/multi_query.h"
 #include "core/result_sink.h"
 #include "datagen/generators.h"
 #include "dom/builder.h"
@@ -86,32 +85,6 @@ TEST_P(GenericScaleTest, GenericCorpusClosureAndUnionQueries) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GenericScaleTest,
                          ::testing::Range(uint64_t{0}, uint64_t{6}));
-
-TEST(ScaleMultiQueryTest, ClosureQueriesShareOneParseAtScale) {
-  const std::string xml = datagen::GenerateRecursivePubs(150000, 17);
-  const char* queries[] = {
-      "//pub[year]//book[@id]/title/text()",
-      "//book/price/sum()",
-      "//pub//pub/count()",
-  };
-  std::vector<core::CollectingSink> sinks(std::size(queries));
-  core::MultiQueryEngine multi;
-  for (size_t i = 0; i < std::size(queries); ++i) {
-    ASSERT_TRUE(multi.AddQuery(queries[i], &sinks[i]).ok());
-  }
-  xml::SaxParser parser(&multi);
-  ASSERT_TRUE(parser.Parse(xml).ok());
-  ASSERT_TRUE(multi.status().ok());
-  for (size_t i = 0; i < std::size(queries); ++i) {
-    Result<core::QueryResult> alone = core::RunQuery(queries[i], xml);
-    ASSERT_TRUE(alone.ok());
-    EXPECT_EQ(sinks[i].items, alone->items) << queries[i];
-    if (alone->aggregate.has_value()) {
-      ASSERT_TRUE(sinks[i].aggregate.has_value());
-      EXPECT_DOUBLE_EQ(*sinks[i].aggregate, *alone->aggregate);
-    }
-  }
-}
 
 TEST(ScaleAggregationTest, UnionAggregatesMatchOracleOnShake) {
   const std::string xml = datagen::GenerateShake(120000, 5);

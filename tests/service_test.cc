@@ -692,30 +692,6 @@ TEST(QueryServiceTapeTest, UnknownDocumentAndEvict) {
   EXPECT_EQ(service.RunCached(*id, "doc").code(), StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTapeTest, RecordWithProjectionPreservesResults) {
-  std::string document = "<r>";
-  for (int i = 0; i < 50; ++i) {
-    document += "<keep>k" + std::to_string(i) + "</keep>";
-    document += "<noise><deep>waste</deep></noise>";
-  }
-  document += "</r>";
-  QueryService service(SmallConfig(2));
-  auto full = service.RecordDocument("full", document);
-  ASSERT_TRUE(full.ok());
-  auto projected = service.RecordDocument("proj", document,
-                                          {"/r/keep/text()"});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_LT((*projected)->memory_bytes(), (*full)->memory_bytes());
-
-  auto id = service.OpenSession("/r/keep/text()");
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(service.RunCached(*id, "full").ok());
-  std::vector<std::string> from_full = service.Drain(*id);
-  ASSERT_TRUE(service.RunCached(*id, "proj").ok());
-  EXPECT_EQ(service.Drain(*id), from_full);
-  EXPECT_EQ(from_full.size(), 50u);
-}
-
 TEST(QueryServiceTapeTest, RunCachedAfterFailureRecovers) {
   QueryService service(SmallConfig(1));
   ASSERT_TRUE(service.RecordDocument("doc", "<a>ok</a>").ok());
