@@ -149,10 +149,6 @@ void PhaseBreakdown(const PhaseCollector& phases) {
   double automaton_ms = static_cast<double>(phases.automaton_ns()) / 1e6;
   double buffer_ms = static_cast<double>(phases.buffer_ns()) / 1e6;
   double total_ms = parse_ms + automaton_ms + buffer_ms;
-  if (total_ms <= 0.0) {
-    std::printf("  (no samples — built with XSQ_OBS=OFF)\n");
-    return;
-  }
   TablePrinter table({"Phase", "Time (ms)", "Share"});
   table.AddRow({"SAX parse", FormatDouble(parse_ms, 1),
                 FormatDouble(parse_ms / total_ms * 100.0, 1) + "%"});

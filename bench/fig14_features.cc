@@ -4,13 +4,8 @@
 #include <string>
 
 #include "bench_util/table.h"
-#include "core/engine.h"
-#include "core/engine_nc.h"
 #include "core/result_sink.h"
 #include "fig_util.h"
-#include "lazydfa/lazy_dfa_engine.h"
-#include "naive/naive_engine.h"
-#include "textindex/text_index_engine.h"
 #include "xpath/ast.h"
 
 namespace xsq::bench {
@@ -40,23 +35,13 @@ const char* ProbeQuery(Probe probe) {
 bool Accepts(System system, Probe probe) {
   Result<xpath::Query> query = xpath::ParseQuery(ProbeQuery(probe));
   if (!query.ok()) return false;
-  core::CountingSink sink;
-  switch (system) {
-    case System::kXsqF:
-      return core::XsqEngine::Create(*query, &sink).ok();
-    case System::kXsqNc:
-      return core::XsqNcEngine::Create(*query, &sink).ok();
-    case System::kLazyDfa:
-      return lazydfa::LazyDfaEngine::Create(*query, &sink).ok();
-    case System::kNaive:
-      return naive::NaiveEngine::Create(*query, &sink).ok();
-    case System::kDom:
-    case System::kTextIndex:
-      return true;  // DOM-based evaluation handles the full subset
-    case System::kPureParser:
-      return false;  // parses only; answers no queries
+  if (core::EngineFactory factory = StreamingEngineFactory(system)) {
+    core::CountingSink sink;
+    return factory(*query, &sink).ok();
   }
-  return false;
+  // DOM-based evaluation handles the full subset; the pure parser
+  // answers no queries.
+  return system != System::kPureParser;
 }
 
 int Main() {

@@ -68,10 +68,10 @@ int main() {
     return 1;
   }
 
-  const xsq::core::EngineStats& stats = (*engine)->stats();
   std::printf("matches created: %llu, items emitted: %llu\n",
-              static_cast<unsigned long long>(stats.matches_created),
-              static_cast<unsigned long long>(stats.items_emitted));
+              static_cast<unsigned long long>(
+                  (*engine)->stats().matches_created),
+              static_cast<unsigned long long>((*engine)->items_emitted()));
   std::printf("peak buffered bytes: %zu\n",
               (*engine)->memory().peak_bytes());
   return 0;

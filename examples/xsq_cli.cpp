@@ -15,15 +15,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "core/engine.h"
-#include "core/trace.h"
 #include "core/engine_nc.h"
 #include "core/hpdt.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
+#include "core/trace.h"
 #include "dom/builder.h"
 #include "dtd/dtd.h"
 #include "dtd/validator.h"
@@ -111,8 +113,10 @@ int Fail(const xsq::Status& status) {
   return 1;
 }
 
-int StreamThrough(xsq::xml::SaxHandler* handler, std::istream& in,
-                  bool validate = false) {
+// Streams `in` through `engine` and checks the engine's status.
+int StreamThrough(xsq::core::StreamingEngine* engine, std::istream& in,
+                  bool validate) {
+  xsq::xml::SaxHandler* handler = engine;
   AutoValidator auto_validator;
   xsq::xml::TeeHandler tee;
   tee.AddTarget(handler);
@@ -132,6 +136,7 @@ int StreamThrough(xsq::xml::SaxHandler* handler, std::istream& in,
   }
   xsq::Status status = parser.Finish();
   if (!status.ok()) return Fail(status);
+  if (!engine->status().ok()) return Fail(engine->status());
   if (validate) {
     if (!auto_validator.saw_dtd()) {
       std::fprintf(stderr,
@@ -209,54 +214,7 @@ int main(int argc, char** argv) {
   }
 
   StdoutSink sink;
-  int rc = 0;
-  if (engine_name == "f") {
-    auto engine = xsq::core::XsqEngine::Create(*query, &sink);
-    if (!engine.ok()) return Fail(engine.status());
-    TracePrinter tracer;
-    if (trace) (*engine)->set_trace(&tracer);
-    rc = StreamThrough(engine->get(), *in, validate);
-    if (rc == 0 && !(*engine)->status().ok()) return Fail((*engine)->status());
-    if (stats) {
-      std::fprintf(stderr,
-                   "# matches=%llu items=%llu discarded=%llu peak_buffer=%zuB "
-                   "hpdt_bpdts=%zu\n",
-                   static_cast<unsigned long long>(
-                       (*engine)->stats().matches_created),
-                   static_cast<unsigned long long>(
-                       (*engine)->stats().items_emitted),
-                   static_cast<unsigned long long>(
-                       (*engine)->stats().items_discarded),
-                   (*engine)->memory().peak_bytes(),
-                   (*engine)->hpdt().bpdt_count());
-    }
-  } else if (engine_name == "nc") {
-    auto engine = xsq::core::XsqNcEngine::Create(*query, &sink);
-    if (!engine.ok()) return Fail(engine.status());
-    rc = StreamThrough(engine->get(), *in);
-    if (rc == 0 && !(*engine)->status().ok()) return Fail((*engine)->status());
-    if (stats) {
-      std::fprintf(stderr, "# items=%llu peak_buffer=%zuB\n",
-                   static_cast<unsigned long long>((*engine)->items_emitted()),
-                   (*engine)->memory().peak_bytes());
-    }
-  } else if (engine_name == "lazydfa") {
-    auto engine = xsq::lazydfa::LazyDfaEngine::Create(*query, &sink);
-    if (!engine.ok()) return Fail(engine.status());
-    rc = StreamThrough(engine->get(), *in);
-    if (stats) {
-      std::fprintf(stderr, "# dfa_states=%zu\n",
-                   (*engine)->dfa_state_count());
-    }
-  } else if (engine_name == "naive") {
-    auto engine = xsq::naive::NaiveEngine::Create(*query, &sink);
-    if (!engine.ok()) return Fail(engine.status());
-    rc = StreamThrough(engine->get(), *in);
-    if (stats) {
-      std::fprintf(stderr, "# peak_buffer=%zuB\n",
-                   (*engine)->memory().peak_bytes());
-    }
-  } else if (engine_name == "dom") {
+  if (engine_name == "dom") {
     std::string content((std::istreambuf_iterator<char>(*in)),
                         std::istreambuf_iterator<char>());
     auto document = xsq::dom::BuildFromString(content);
@@ -273,9 +231,56 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "# dom_bytes=%zu matches=%zu\n",
                    document->ApproxBytes(), result->match_count);
     }
+    return 0;
+  }
+
+  // The streaming engines: each prints its own --stats line.
+  TracePrinter tracer;  // outlives the engine it is installed in
+  std::unique_ptr<xsq::core::StreamingEngine> engine;
+  std::function<void()> print_stats;
+  if (engine_name == "f") {
+    auto f = xsq::core::XsqEngine::Create(*query, &sink);
+    if (!f.ok()) return Fail(f.status());
+    if (trace) (*f)->set_trace(&tracer);
+    print_stats = [f = f->get()] {
+      std::fprintf(stderr,
+                   "# matches=%llu items=%llu discarded=%llu peak_buffer=%zuB "
+                   "hpdt_bpdts=%zu\n",
+                   static_cast<unsigned long long>(f->stats().matches_created),
+                   static_cast<unsigned long long>(f->items_emitted()),
+                   static_cast<unsigned long long>(f->stats().items_discarded),
+                   f->memory().peak_bytes(), f->hpdt().bpdt_count());
+    };
+    engine = *std::move(f);
+  } else if (engine_name == "nc") {
+    auto nc = xsq::core::XsqNcEngine::Create(*query, &sink);
+    if (!nc.ok()) return Fail(nc.status());
+    print_stats = [nc = nc->get()] {
+      std::fprintf(stderr, "# items=%llu peak_buffer=%zuB\n",
+                   static_cast<unsigned long long>(nc->items_emitted()),
+                   nc->memory().peak_bytes());
+    };
+    engine = *std::move(nc);
+  } else if (engine_name == "lazydfa") {
+    auto dfa = xsq::lazydfa::LazyDfaEngine::Create(*query, &sink);
+    if (!dfa.ok()) return Fail(dfa.status());
+    print_stats = [dfa = dfa->get()] {
+      std::fprintf(stderr, "# dfa_states=%zu\n", dfa->dfa_state_count());
+    };
+    engine = *std::move(dfa);
+  } else if (engine_name == "naive") {
+    auto naive = xsq::naive::NaiveEngine::Create(*query, &sink);
+    if (!naive.ok()) return Fail(naive.status());
+    print_stats = [naive = naive->get()] {
+      std::fprintf(stderr, "# peak_buffer=%zuB\n",
+                   naive->memory().peak_bytes());
+    };
+    engine = *std::move(naive);
   } else {
     std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
     return 2;
   }
+  int rc = StreamThrough(engine.get(), *in, validate);
+  if (rc == 0 && stats) print_stats();
   return rc;
 }

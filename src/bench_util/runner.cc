@@ -5,6 +5,7 @@
 #include "core/engine.h"
 #include "core/engine_nc.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "dom/builder.h"
 #include "dom/evaluator.h"
 #include "lazydfa/lazy_dfa_engine.h"
@@ -68,6 +69,24 @@ const char* SystemName(System system) {
   return "?";
 }
 
+core::EngineFactory StreamingEngineFactory(System system) {
+  switch (system) {
+    case System::kXsqF:
+      return &core::CreateEngine<core::XsqEngine>;
+    case System::kXsqNc:
+      return &core::CreateEngine<core::XsqNcEngine>;
+    case System::kLazyDfa:
+      return &core::CreateEngine<lazydfa::LazyDfaEngine>;
+    case System::kNaive:
+      return &core::CreateEngine<naive::NaiveEngine>;
+    case System::kPureParser:
+    case System::kDom:
+    case System::kTextIndex:
+      break;
+  }
+  return nullptr;
+}
+
 Result<RunMeasurement> RunSystem(System system, std::string_view query_text,
                                  std::string_view xml_text) {
   RunMeasurement m;
@@ -86,53 +105,24 @@ Result<RunMeasurement> RunSystem(System system, std::string_view query_text,
   Result<xpath::Query> query = xpath::ParseQuery(query_text);
   XSQ_RETURN_IF_ERROR(query.status());
 
+  if (core::EngineFactory factory = StreamingEngineFactory(system)) {
+    core::CountingSink sink;
+    auto engine = factory(*query, &sink);
+    if (!engine.ok()) {
+      return Unsupported(engine.status().message(), xml_text.size());
+    }
+    m.compile_seconds = compile_timer.Seconds();
+    xml::SaxParser parser(engine->get());
+    WallTimer timer;
+    XSQ_RETURN_IF_ERROR(parser.Parse(xml_text));
+    m.query_seconds = timer.Seconds();
+    XSQ_RETURN_IF_ERROR((*engine)->status());
+    m.item_count = sink.item_count + sink.update_count;
+    m.peak_memory_bytes = (*engine)->memory().peak_bytes();
+    return m;
+  }
+
   switch (system) {
-    case System::kXsqF: {
-      core::CountingSink sink;
-      auto engine = core::XsqEngine::Create(*query, &sink);
-      XSQ_RETURN_IF_ERROR(engine.status());
-      m.compile_seconds = compile_timer.Seconds();
-      xml::SaxParser parser(engine->get());
-      WallTimer timer;
-      XSQ_RETURN_IF_ERROR(parser.Parse(xml_text));
-      m.query_seconds = timer.Seconds();
-      XSQ_RETURN_IF_ERROR((*engine)->status());
-      m.item_count = sink.item_count + sink.update_count;
-      m.peak_memory_bytes = (*engine)->memory().peak_bytes();
-      return m;
-    }
-    case System::kXsqNc: {
-      core::CountingSink sink;
-      auto engine = core::XsqNcEngine::Create(*query, &sink);
-      if (!engine.ok()) {
-        return Unsupported(engine.status().message(), xml_text.size());
-      }
-      m.compile_seconds = compile_timer.Seconds();
-      xml::SaxParser parser(engine->get());
-      WallTimer timer;
-      XSQ_RETURN_IF_ERROR(parser.Parse(xml_text));
-      m.query_seconds = timer.Seconds();
-      XSQ_RETURN_IF_ERROR((*engine)->status());
-      m.item_count = sink.item_count + sink.update_count;
-      m.peak_memory_bytes = (*engine)->memory().peak_bytes();
-      return m;
-    }
-    case System::kLazyDfa: {
-      core::CountingSink sink;
-      auto engine = lazydfa::LazyDfaEngine::Create(*query, &sink);
-      if (!engine.ok()) {
-        return Unsupported(engine.status().message(), xml_text.size());
-      }
-      m.compile_seconds = compile_timer.Seconds();
-      xml::SaxParser parser(engine->get());
-      WallTimer timer;
-      XSQ_RETURN_IF_ERROR(parser.Parse(xml_text));
-      m.query_seconds = timer.Seconds();
-      XSQ_RETURN_IF_ERROR((*engine)->status());
-      m.item_count = sink.item_count;
-      m.peak_memory_bytes = (*engine)->memory().peak_bytes();
-      return m;
-    }
     case System::kDom: {
       m.compile_seconds = compile_timer.Seconds();
       WallTimer preprocess_timer;
@@ -145,22 +135,6 @@ Result<RunMeasurement> RunSystem(System system, std::string_view query_text,
       m.query_seconds = timer.Seconds();
       m.item_count = result->items.size();
       m.peak_memory_bytes = document->ApproxBytes();
-      return m;
-    }
-    case System::kNaive: {
-      core::CountingSink sink;
-      auto engine = naive::NaiveEngine::Create(*query, &sink);
-      if (!engine.ok()) {
-        return Unsupported(engine.status().message(), xml_text.size());
-      }
-      m.compile_seconds = compile_timer.Seconds();
-      xml::SaxParser parser(engine->get());
-      WallTimer timer;
-      XSQ_RETURN_IF_ERROR(parser.Parse(xml_text));
-      m.query_seconds = timer.Seconds();
-      XSQ_RETURN_IF_ERROR((*engine)->status());
-      m.item_count = sink.item_count + sink.update_count;
-      m.peak_memory_bytes = (*engine)->memory().peak_bytes();
       return m;
     }
     case System::kTextIndex: {
@@ -180,6 +154,10 @@ Result<RunMeasurement> RunSystem(System system, std::string_view query_text,
       return m;
     }
     case System::kPureParser:
+    case System::kXsqF:
+    case System::kXsqNc:
+    case System::kLazyDfa:
+    case System::kNaive:
       break;  // handled above
   }
   return Status::Internal("unknown system");

@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "core/streaming_engine.h"
 
 namespace xsq::bench {
 
@@ -30,6 +31,10 @@ constexpr System kAllSystems[] = {
     System::kDom,        System::kNaive, System::kTextIndex};
 
 const char* SystemName(System system);
+
+// The factory of the streaming engine behind `system`; null for the
+// systems that do not stream a query (PureParser, DOM, TextIndex).
+core::EngineFactory StreamingEngineFactory(System system);
 
 struct RunMeasurement {
   bool supported = true;

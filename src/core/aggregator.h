@@ -5,6 +5,7 @@
 #define XSQ_CORE_AGGREGATOR_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -33,6 +34,23 @@ class Aggregator {
     min_ = std::min(min_, *value);
     max_ = std::max(max_, *value);
     return true;
+  }
+
+  // Folds in a partial aggregate computed elsewhere (the DOM evaluator
+  // over one candidate subtree): `count` selected elements, of which
+  // `numeric_count` had numeric text summing to `sum`, with extremes
+  // `min` and `max` (read only when numeric_count > 0). Returns true if
+  // the running value changed, as Update does.
+  bool Absorb(uint64_t count, uint64_t numeric_count, double sum,
+              double min, double max) {
+    count_ += count;
+    if (numeric_count > 0) {
+      numeric_count_ += numeric_count;
+      sum_ += sum;
+      min_ = std::min(min_, min);
+      max_ = std::max(max_, max);
+    }
+    return kind_ == xpath::OutputKind::kCount ? count > 0 : numeric_count > 0;
   }
 
   // The running value, or nullopt when it is not yet defined (avg/min/max

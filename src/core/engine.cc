@@ -12,10 +12,8 @@ namespace xsq::core {
 
 XsqEngine::XsqEngine(std::vector<std::shared_ptr<const Hpdt>> hpdts,
                      ResultSink* sink)
-    : hpdts_(std::move(hpdts)),
-      sink_(sink),
-      output_kind_(hpdts_.front()->query().output.kind),
-      aggregator_(output_kind_) {
+    : StreamingEngine(hpdts.front()->query().output.kind, sink),
+      hpdts_(std::move(hpdts)) {
   for (const auto& hpdt : hpdts_) {
     branch_offsets_.push_back(total_step_slots_);
     total_step_slots_ += static_cast<size_t>(hpdt->num_layers()) + 1;
@@ -41,16 +39,13 @@ Result<std::unique_ptr<XsqEngine>> XsqEngine::Create(
 }
 
 void XsqEngine::Reset() {
-  memory_.ReleaseAll();  // buffered items discarded below
+  StreamingEngine::Reset();  // buffered items discarded below
   stack_.clear();
   active_by_step_.assign(total_step_slots_, {});
   output_queue_.clear();
   serializations_.clear();
-  aggregator_ = Aggregator(output_kind_);
   next_sequence_ = 0;
   live_matches_ = 0;
-  cancel_tick_ = 0;
-  status_ = Status::OK();
 
   // The virtual document entry with one always-TRUE root match per
   // branch (Figure 12): the document node is the depth-0 "element"
@@ -65,8 +60,6 @@ void XsqEngine::Reset() {
     stack_.back().matches.push_back(std::move(root_match));
   }
 }
-
-void XsqEngine::OnDocumentBegin() { Reset(); }
 
 XsqEngine::Match* XsqEngine::LowestUnsatisfied(Match* match) {
   for (Match* cur = match; cur != nullptr; cur = cur->parent) {
@@ -156,18 +149,10 @@ void XsqEngine::EmitReadyItems() {
     if (front->state() == Item::State::kPending) break;
     if (front->state() == Item::State::kSelected) {
       if (!front->complete()) break;
-      if (xpath::IsAggregation(output_kind_)) {
-        if (aggregator_.Update(front->value())) {
-          std::optional<double> current = aggregator_.Current();
-          if (current.has_value()) sink_->OnAggregateUpdate(*current);
-        }
-      } else {
-        sink_->OnItem(front->value());
-      }
+      EmitItem(front->value());
       if (trace_ != nullptr) {
         Trace(BufferOp::Kind::kEmit, nullptr, front);
       }
-      ++stats_.items_emitted;
     } else {
       if (trace_ != nullptr) {
         Trace(BufferOp::Kind::kDiscard, nullptr, front);
@@ -300,15 +285,19 @@ void XsqEngine::OnBegin(std::string_view tag,
   // 4. Output duties of the lowest layer (Section 4.2): produce the item
   // for this element if it matched the output step.
   if (output_kind_ == xpath::OutputKind::kElement) {
-    std::string begin_tag;
-    xml::AppendBeginTag(&begin_tag, tag, attributes);
-    AppendToSerializations(begin_tag);
-    if (!entry.last_step_matches.empty()) {
-      std::shared_ptr<Item> item = MakeItem();
-      item->set_incomplete();
-      AttachItem(item, &entry);
-      AppendToItem(item.get(), begin_tag);
-      serializations_.push_back({item, depth});
+    // The begin tag is built only when an open item or this element's
+    // own item needs it.
+    if (!serializations_.empty() || !entry.last_step_matches.empty()) {
+      std::string begin_tag;
+      xml::AppendBeginTag(&begin_tag, tag, attributes);
+      AppendToSerializations(begin_tag);
+      if (!entry.last_step_matches.empty()) {
+        std::shared_ptr<Item> item = MakeItem();
+        item->set_incomplete();
+        AttachItem(item, &entry);
+        AppendToItem(item.get(), begin_tag);
+        serializations_.push_back({item, depth});
+      }
     }
   } else if (output_kind_ == xpath::OutputKind::kAttribute) {
     if (!entry.last_step_matches.empty()) {
@@ -449,9 +438,7 @@ void XsqEngine::OnDocumentEnd() {
         "unresolved buffered items at end of document (engine bug)");
     return;
   }
-  if (xpath::IsAggregation(output_kind_)) {
-    sink_->OnAggregateFinal(aggregator_.Final());
-  }
+  EmitFinalAggregate();
 }
 
 Result<QueryResult> RunQuery(std::string_view query_text,

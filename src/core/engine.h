@@ -34,13 +34,11 @@
 #include <string_view>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "common/status.h"
-#include "core/aggregator.h"
-#include "core/cancel_token.h"
 #include "core/hpdt.h"
 #include "core/item.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "core/trace.h"
 #include "xml/events.h"
 #include "xpath/ast.h"
@@ -51,11 +49,10 @@ struct EngineStats {
   uint64_t matches_created = 0;
   uint64_t peak_live_matches = 0;
   uint64_t items_created = 0;
-  uint64_t items_emitted = 0;
   uint64_t items_discarded = 0;
 };
 
-class XsqEngine : public xml::SaxHandler {
+class XsqEngine final : public StreamingEngine {
  public:
   // Compiles the query into an HPDT (one per union branch) and binds
   // the engine to `sink` (not owned, must outlive the engine).
@@ -69,7 +66,6 @@ class XsqEngine : public xml::SaxHandler {
       std::vector<std::shared_ptr<const Hpdt>> hpdts, ResultSink* sink);
 
   // SaxHandler interface: feed this engine to a SaxParser.
-  void OnDocumentBegin() override;
   void OnBegin(std::string_view tag,
                const std::vector<xml::Attribute>& attributes,
                int depth) override;
@@ -78,34 +74,17 @@ class XsqEngine : public xml::SaxHandler {
               int depth) override;
   void OnDocumentEnd() override;
 
-  // Prepares the engine for another document with the same query.
-  void Reset();
+  void Reset() override;
 
   // Installs an observer for the paper's buffer operations (Sections
   // 3.3/4.3). Pass nullptr to disable. Not owned; must outlive the
   // engine while installed.
   void set_trace(TraceListener* trace) { trace_ = trace; }
 
-  // Installs a cooperative cancellation token, polled once every
-  // token->check_interval_events() handler events (default
-  // CancelToken::kCheckIntervalEvents). Pass nullptr to detach. Not
-  // owned; must outlive the engine while installed. A trip sets
-  // status() to kCancelled/kDeadlineExceeded, after which every handler
-  // call is a no-op until Reset.
-  void set_cancel_token(const CancelToken* token) {
-    cancel_token_ = token;
-    cancel_interval_ = token == nullptr ? CancelToken::kCheckIntervalEvents
-                                        : token->check_interval_events();
-  }
-
   // The HPDT of the first (or only) union branch.
   const Hpdt& hpdt() const { return *hpdts_.front(); }
   size_t branch_count() const { return hpdts_.size(); }
   const EngineStats& stats() const { return stats_; }
-  const MemoryTracker& memory() const { return memory_; }
-
-  // Non-OK if an internal invariant was violated while streaming.
-  const Status& status() const { return status_; }
 
  private:
   // An HPDT configuration: one way the current element matches the
@@ -150,20 +129,6 @@ class XsqEngine : public xml::SaxHandler {
            static_cast<size_t>(step);
   }
 
-  // Sampled poll of the cancel token: true (with status_ set) when the
-  // token has tripped. The common case is one pointer test and one
-  // increment; the atomic load happens only on sampled events.
-  bool CheckCancelSampled() {
-    if (cancel_token_ == nullptr || ++cancel_tick_ < cancel_interval_) {
-      return false;
-    }
-    cancel_tick_ = 0;
-    Status cancel_status = cancel_token_->Check();
-    if (cancel_status.ok()) return false;
-    status_ = std::move(cancel_status);
-    return true;
-  }
-
   void SatisfyPredicate(Match* match, uint32_t bit);
   void Trace(BufferOp::Kind kind, const Bpdt* bpdt, const Item* item);
   Match* LowestUnsatisfied(Match* match);
@@ -176,24 +141,16 @@ class XsqEngine : public xml::SaxHandler {
   std::vector<std::shared_ptr<const Hpdt>> hpdts_;  // one per union branch
   std::vector<size_t> branch_offsets_;         // into per-(branch,step) slots
   size_t total_step_slots_ = 0;
-  ResultSink* sink_;
-  xpath::OutputKind output_kind_;
 
   std::vector<StackEntry> stack_;
   std::vector<std::vector<Match*>> active_by_step_;  // closure sources
   std::deque<std::shared_ptr<Item>> output_queue_;
   std::vector<ActiveSerialization> serializations_;
-  Aggregator aggregator_;
   uint64_t next_sequence_ = 0;
   uint64_t live_matches_ = 0;
 
   TraceListener* trace_ = nullptr;
-  const CancelToken* cancel_token_ = nullptr;
-  uint32_t cancel_tick_ = 0;
-  uint32_t cancel_interval_ = CancelToken::kCheckIntervalEvents;
   EngineStats stats_;
-  MemoryTracker memory_;
-  Status status_;
 };
 
 // Convenience: parse `query_text`, stream `xml_text` through XSQ-F, and

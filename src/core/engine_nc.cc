@@ -7,11 +7,9 @@
 namespace xsq::core {
 
 XsqNcEngine::XsqNcEngine(xpath::Query query, ResultSink* sink)
-    : query_(std::move(query)),
-      sink_(sink),
-      output_kind_(query_.output.kind),
-      num_steps_(query_.steps.size()),
-      aggregator_(output_kind_) {
+    : StreamingEngine(query.output.kind, sink),
+      query_(std::move(query)),
+      num_steps_(query_.steps.size()) {
   Reset();
 }
 
@@ -35,19 +33,14 @@ Result<std::unique_ptr<XsqNcEngine>> XsqNcEngine::Create(
 }
 
 void XsqNcEngine::Reset() {
-  memory_.ReleaseAll();  // queue_ items discarded below
+  StreamingEngine::Reset();  // queue_ items discarded below
   stack_.clear();
   stack_.emplace_back();  // virtual document entry; always satisfied
   stack_.front().has_match = true;
   queue_.clear();
   serializing_item_ = nullptr;
   serialization_depth_ = 0;
-  aggregator_ = Aggregator(output_kind_);
-  cancel_tick_ = 0;
-  status_ = Status::OK();
 }
-
-void XsqNcEngine::OnDocumentBegin() { Reset(); }
 
 size_t XsqNcEngine::LowestUnsatisfied(size_t from) const {
   for (size_t i = from; i >= 1; --i) {
@@ -103,15 +96,7 @@ void XsqNcEngine::EmitReadyItems() {
     if (front->state == ItemState::kPending) break;
     if (front->state == ItemState::kSelected) {
       if (!front->complete) break;
-      if (xpath::IsAggregation(output_kind_)) {
-        if (aggregator_.Update(front->value)) {
-          std::optional<double> current = aggregator_.Current();
-          if (current.has_value()) sink_->OnAggregateUpdate(*current);
-        }
-      } else {
-        sink_->OnItem(front->value);
-      }
-      ++items_emitted_;
+      EmitItem(front->value);
     }
     memory_.Release(front->value.size());
     queue_.pop_front();
@@ -305,9 +290,7 @@ void XsqNcEngine::OnDocumentEnd() {
         "unresolved buffered items at end of document (engine bug)");
     return;
   }
-  if (xpath::IsAggregation(output_kind_)) {
-    sink_->OnAggregateFinal(aggregator_.Final());
-  }
+  EmitFinalAggregate();
 }
 
 }  // namespace xsq::core

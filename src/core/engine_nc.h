@@ -19,23 +19,20 @@
 #include <string_view>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "common/status.h"
-#include "core/aggregator.h"
-#include "core/cancel_token.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "xml/events.h"
 #include "xpath/ast.h"
 
 namespace xsq::core {
 
-class XsqNcEngine : public xml::SaxHandler {
+class XsqNcEngine final : public StreamingEngine {
  public:
   // Fails with NotSupported when the query contains a closure axis.
   static Result<std::unique_ptr<XsqNcEngine>> Create(
       const xpath::Query& query, ResultSink* sink);
 
-  void OnDocumentBegin() override;
   void OnBegin(std::string_view tag,
                const std::vector<xml::Attribute>& attributes,
                int depth) override;
@@ -44,19 +41,7 @@ class XsqNcEngine : public xml::SaxHandler {
               int depth) override;
   void OnDocumentEnd() override;
 
-  void Reset();
-
-  // Same contract as XsqEngine::set_cancel_token: polled every
-  // token->check_interval_events() events; a trip fails status().
-  void set_cancel_token(const CancelToken* token) {
-    cancel_token_ = token;
-    cancel_interval_ = token == nullptr ? CancelToken::kCheckIntervalEvents
-                                        : token->check_interval_events();
-  }
-
-  const MemoryTracker& memory() const { return memory_; }
-  const Status& status() const { return status_; }
-  uint64_t items_emitted() const { return items_emitted_; }
+  void Reset() override;
 
  private:
   enum class ItemState : uint8_t { kPending, kSelected, kDiscarded };
@@ -79,18 +64,6 @@ class XsqNcEngine : public xml::SaxHandler {
 
   XsqNcEngine(xpath::Query query, ResultSink* sink);
 
-  // Sampled poll of the cancel token; see XsqEngine::CheckCancelSampled.
-  bool CheckCancelSampled() {
-    if (cancel_token_ == nullptr || ++cancel_tick_ < cancel_interval_) {
-      return false;
-    }
-    cancel_tick_ = 0;
-    Status cancel_status = cancel_token_->Check();
-    if (cancel_status.ok()) return false;
-    status_ = std::move(cancel_status);
-    return true;
-  }
-
   // Index of the deepest entry (<= from) with an undecided predicate,
   // or 0 when the whole chain is decided true.
   size_t LowestUnsatisfied(size_t from) const;
@@ -102,22 +75,12 @@ class XsqNcEngine : public xml::SaxHandler {
   bool InResultSubtree() const { return serialization_depth_ > 0; }
 
   xpath::Query query_;
-  ResultSink* sink_;
-  xpath::OutputKind output_kind_;
   size_t num_steps_;
 
   std::vector<NcEntry> stack_;
   std::deque<std::unique_ptr<NcItem>> queue_;
   NcItem* serializing_item_ = nullptr;  // catchall output in progress
   int serialization_depth_ = 0;         // begin depth of that element
-  Aggregator aggregator_;
-
-  const CancelToken* cancel_token_ = nullptr;
-  uint32_t cancel_tick_ = 0;
-  uint32_t cancel_interval_ = CancelToken::kCheckIntervalEvents;
-  uint64_t items_emitted_ = 0;
-  MemoryTracker memory_;
-  Status status_;
 };
 
 }  // namespace xsq::core

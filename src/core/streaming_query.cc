@@ -1,28 +1,55 @@
 #include "core/streaming_query.h"
 
-#if XSQ_OBS_ENABLED
+#include <algorithm>
+#include <array>
 #include <chrono>
-#endif
 
 #include "common/failpoints.h"
+#include "core/engine.h"
+#include "core/engine_nc.h"
 
 namespace xsq::core {
 
-#if XSQ_OBS_ENABLED
-
 namespace {
+
 inline uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+// The cost of one NowNanos() call, measured once per process: the
+// median of five runs of 1000 back-to-back reads. A clocked callback's
+// interval includes about one read.
+uint64_t ClockCostNs() {
+  static const uint64_t cost = [] {
+    constexpr int kReads = 1000;
+    std::array<uint64_t, 5> runs{};
+    for (uint64_t& run : runs) {
+      uint64_t start = NowNanos();
+      for (int i = 0; i < kReads; ++i) NowNanos();
+      run = (NowNanos() - start) / kReads;
+    }
+    std::sort(runs.begin(), runs.end());
+    return runs[runs.size() / 2];
+  }();
+  return cost;
+}
+
+// One chunk in this many is fully timed; the estimate is scaled back up.
+constexpr uint32_t kChunkSampleEvery = 32;
+
 }  // namespace
 
 // Times the engine's share of a sampled chunk: every kSampleEvery-th
-// SAX callback is bracketed with clock reads and its duration scaled by
-// kSampleEvery. Begin/end events drive automaton transitions; text
-// events drive buffering and predicate work (the Figure 18 split).
+// SAX callback is bracketed with clock reads, and its duration, less
+// the cost of the clock read it includes, is scaled by kSampleEvery.
+// Unsubtracted, that one read (30-40 ns on a 4-vCPU VM, against about
+// 15 ns per XSQ-NC event) would be scaled by kSampleEvery too and
+// overstate the engine 2-3x. Begin/end events drive automaton
+// transitions; text events drive buffering and predicate work (the
+// Figure 18 split).
 //
 // The shim only sees every kChunkSampleEvery-th chunk (Push swaps the
 // parser's handler just for those), so the steady-state per-event cost
@@ -38,7 +65,8 @@ class StreamingQuery::PhaseShim : public xml::SaxHandler {
  public:
   static constexpr uint32_t kSampleEvery = 128;
 
-  explicit PhaseShim(xml::SaxHandler* inner) : inner_(inner) {}
+  explicit PhaseShim(xml::SaxHandler* inner)
+      : inner_(inner), clock_ns_(ClockCostNs()) {}
 
   void OnDocumentBegin() override { inner_->OnDocumentBegin(); }
   void OnDocumentEnd() override { inner_->OnDocumentEnd(); }
@@ -53,7 +81,7 @@ class StreamingQuery::PhaseShim : public xml::SaxHandler {
     if (++tick_ % kSampleEvery == 0) {
       uint64_t start = NowNanos();
       inner_->OnBegin(tag, attributes, depth);
-      automaton_ns_ += (NowNanos() - start) * kSampleEvery;
+      automaton_ns_ += Scaled(NowNanos() - start);
     } else {
       inner_->OnBegin(tag, attributes, depth);
     }
@@ -63,7 +91,7 @@ class StreamingQuery::PhaseShim : public xml::SaxHandler {
     if (++tick_ % kSampleEvery == 0) {
       uint64_t start = NowNanos();
       inner_->OnEnd(tag, depth);
-      automaton_ns_ += (NowNanos() - start) * kSampleEvery;
+      automaton_ns_ += Scaled(NowNanos() - start);
     } else {
       inner_->OnEnd(tag, depth);
     }
@@ -74,7 +102,7 @@ class StreamingQuery::PhaseShim : public xml::SaxHandler {
     if (++tick_ % kSampleEvery == 0) {
       uint64_t start = NowNanos();
       inner_->OnText(enclosing_tag, text, depth);
-      buffer_ns_ += (NowNanos() - start) * kSampleEvery;
+      buffer_ns_ += Scaled(NowNanos() - start);
     } else {
       inner_->OnText(enclosing_tag, text, depth);
     }
@@ -95,19 +123,19 @@ class StreamingQuery::PhaseShim : public xml::SaxHandler {
   }
 
  private:
+  // One clocked interval less its clock read, standing for the
+  // kSampleEvery callbacks it samples.
+  uint64_t Scaled(uint64_t elapsed_ns) const {
+    return elapsed_ns > clock_ns_ ? (elapsed_ns - clock_ns_) * kSampleEvery
+                                  : 0;
+  }
+
   xml::SaxHandler* inner_;
+  const uint64_t clock_ns_;
   uint32_t tick_ = 0;
   uint64_t automaton_ns_ = 0;
   uint64_t buffer_ns_ = 0;
 };
-
-#else  // !XSQ_OBS_ENABLED
-
-// Placeholder so unique_ptr<PhaseShim> has a complete type to destroy;
-// never instantiated in non-obs builds.
-class StreamingQuery::PhaseShim {};
-
-#endif  // XSQ_OBS_ENABLED
 
 StreamingQuery::StreamingQuery(std::shared_ptr<const CompiledPlan> plan)
     : plan_(std::move(plan)) {}
@@ -129,34 +157,24 @@ Result<std::unique_ptr<StreamingQuery>> StreamingQuery::Open(
                     "injected engine allocation failure"));
   auto streaming_query =
       std::unique_ptr<StreamingQuery>(new StreamingQuery(std::move(plan)));
-
-  xml::SaxHandler* handler = nullptr;
-  if (streaming_query->plan_->deterministic) {
-    XSQ_ASSIGN_OR_RETURN(
-        streaming_query->nc_engine_,
-        XsqNcEngine::Create(streaming_query->plan_->query,
-                            &streaming_query->sink_));
-    handler = streaming_query->nc_engine_.get();
+  const CompiledPlan& compiled = *streaming_query->plan_;
+  ResultSink* sink = &streaming_query->sink_;
+  if (compiled.deterministic) {
+    XSQ_ASSIGN_OR_RETURN(streaming_query->engine_,
+                         CreateEngine<XsqNcEngine>(compiled.query, sink));
   } else {
-    XSQ_ASSIGN_OR_RETURN(
-        streaming_query->f_engine_,
-        XsqEngine::Create(streaming_query->plan_->hpdts,
-                          &streaming_query->sink_));
-    handler = streaming_query->f_engine_.get();
+    XSQ_ASSIGN_OR_RETURN(std::unique_ptr<XsqEngine> engine,
+                         XsqEngine::Create(compiled.hpdts, sink));
+    streaming_query->engine_ = std::move(engine);
   }
-  streaming_query->parser_ = std::make_unique<xml::SaxParser>(handler);
+  streaming_query->parser_ =
+      std::make_unique<xml::SaxParser>(streaming_query->engine_.get());
   return streaming_query;
-}
-
-xml::SaxHandler* StreamingQuery::engine_handler() {
-  if (f_engine_ != nullptr) return f_engine_.get();
-  return nc_engine_.get();
 }
 
 void StreamingQuery::set_cancel_token(const CancelToken* token) {
   cancel_token_ = token;
-  if (f_engine_ != nullptr) f_engine_->set_cancel_token(token);
-  if (nc_engine_ != nullptr) nc_engine_->set_cancel_token(token);
+  engine_->set_cancel_token(token);
 }
 
 void StreamingQuery::set_parser_limits(const xml::ParserLimits& limits) {
@@ -164,10 +182,9 @@ void StreamingQuery::set_parser_limits(const xml::ParserLimits& limits) {
 }
 
 void StreamingQuery::set_phase_listener(PhaseListener* listener) {
-#if XSQ_OBS_ENABLED
   phase_listener_ = listener;
   if (listener != nullptr && phase_shim_ == nullptr) {
-    phase_shim_ = std::make_unique<PhaseShim>(engine_handler());
+    phase_shim_ = std::make_unique<PhaseShim>(engine_.get());
   }
   if (phase_shim_ != nullptr) phase_shim_->ResetCounters();
   chunk_tick_ = 0;
@@ -175,25 +192,14 @@ void StreamingQuery::set_phase_listener(PhaseListener* listener) {
   phase_parse_ns_ = phase_automaton_ns_ = phase_buffer_ns_ = 0;
   // The parser stays pointed at the engine; Push swaps in the shim only
   // for sampled chunks. Valid between documents only.
-  parser_->set_handler(engine_handler());
-#else
-  (void)listener;
-#endif
+  parser_->set_handler(engine_.get());
 }
-
-#if XSQ_OBS_ENABLED
-namespace {
-// One chunk in this many is fully timed; the estimate is scaled back up.
-constexpr uint32_t kChunkSampleEvery = 32;
-}  // namespace
-#endif
 
 Status StreamingQuery::Push(std::string_view chunk) {
   if (closed_) return Status::Internal("Push after Close");
   if (cancel_token_ != nullptr) {
     XSQ_RETURN_IF_ERROR(cancel_token_->Check());  // chunk boundary
   }
-#if XSQ_OBS_ENABLED
   // Sampled chunk: route events through the phase shim, wall-time the
   // Feed, and accumulate the unscaled split; Close scales it by the
   // document's actual chunks/sampled ratio and emits one sample (a
@@ -204,7 +210,7 @@ Status StreamingQuery::Push(std::string_view chunk) {
     uint64_t start = NowNanos();
     Status fed = parser_->Feed(chunk);
     uint64_t total_ns = NowNanos() - start;
-    parser_->set_handler(engine_handler());
+    parser_->set_handler(engine_.get());
     uint64_t automaton_ns = 0;
     uint64_t buffer_ns = 0;
     phase_shim_->TakePhases(&automaton_ns, &buffer_ns);
@@ -214,13 +220,10 @@ Status StreamingQuery::Push(std::string_view chunk) {
     phase_buffer_ns_ += buffer_ns;
     phase_parse_ns_ += total_ns > handler_ns ? total_ns - handler_ns : 0;
     XSQ_RETURN_IF_ERROR(fed);
-    if (f_engine_ != nullptr) return f_engine_->status();
-    return nc_engine_->status();
+    return engine_->status();
   }
-#endif
   XSQ_RETURN_IF_ERROR(parser_->Feed(chunk));
-  if (f_engine_ != nullptr) return f_engine_->status();
-  return nc_engine_->status();
+  return engine_->status();
 }
 
 Status StreamingQuery::Close() {
@@ -228,56 +231,48 @@ Status StreamingQuery::Close() {
   if (cancel_token_ != nullptr) {
     XSQ_RETURN_IF_ERROR(cancel_token_->Check());  // chunk boundary
   }
-#if XSQ_OBS_ENABLED
+  if (phase_listener_ == nullptr) {
+    XSQ_RETURN_IF_ERROR(parser_->Finish());
+    closed_ = true;
+    return engine_->status();
+  }
   // Close flushes whatever the parser retained (timed unscaled), then
   // emits the document's one phase sample: the sampled-chunk
   // accumulators scaled by how many chunks each sampled chunk stands
   // in for — the observed ratio, not kChunkSampleEvery, so documents
   // shorter than one sampling period are not overstated.
-  if (phase_listener_ != nullptr) {
-    parser_->set_handler(phase_shim_.get());
-    uint64_t start = NowNanos();
-    Status finished = parser_->Finish();
-    uint64_t total_ns = NowNanos() - start;
-    parser_->set_handler(engine_handler());
-    uint64_t automaton_ns = 0;
-    uint64_t buffer_ns = 0;
-    phase_shim_->TakePhases(&automaton_ns, &buffer_ns);
-    uint64_t handler_ns = automaton_ns + buffer_ns;
-    uint64_t parse_ns = total_ns > handler_ns ? total_ns - handler_ns : 0;
-    double scale =
-        sampled_chunks_ > 0
-            ? static_cast<double>(chunk_tick_) / sampled_chunks_
-            : 1.0;
-    phase_listener_->OnPhaseSample(
-        parse_ns + static_cast<uint64_t>(phase_parse_ns_ * scale),
-        automaton_ns + static_cast<uint64_t>(phase_automaton_ns_ * scale),
-        buffer_ns + static_cast<uint64_t>(phase_buffer_ns_ * scale));
-    phase_parse_ns_ = phase_automaton_ns_ = phase_buffer_ns_ = 0;
-    sampled_chunks_ = 0;
-    chunk_tick_ = 0;
-    XSQ_RETURN_IF_ERROR(finished);
-    closed_ = true;
-    if (f_engine_ != nullptr) return f_engine_->status();
-    return nc_engine_->status();
-  }
-#endif
-  XSQ_RETURN_IF_ERROR(parser_->Finish());
+  parser_->set_handler(phase_shim_.get());
+  uint64_t start = NowNanos();
+  Status finished = parser_->Finish();
+  uint64_t total_ns = NowNanos() - start;
+  parser_->set_handler(engine_.get());
+  uint64_t automaton_ns = 0;
+  uint64_t buffer_ns = 0;
+  phase_shim_->TakePhases(&automaton_ns, &buffer_ns);
+  uint64_t handler_ns = automaton_ns + buffer_ns;
+  uint64_t parse_ns = total_ns > handler_ns ? total_ns - handler_ns : 0;
+  double scale = sampled_chunks_ > 0
+                     ? static_cast<double>(chunk_tick_) / sampled_chunks_
+                     : 1.0;
+  phase_listener_->OnPhaseSample(
+      parse_ns + static_cast<uint64_t>(phase_parse_ns_ * scale),
+      automaton_ns + static_cast<uint64_t>(phase_automaton_ns_ * scale),
+      buffer_ns + static_cast<uint64_t>(phase_buffer_ns_ * scale));
+  phase_parse_ns_ = phase_automaton_ns_ = phase_buffer_ns_ = 0;
+  sampled_chunks_ = 0;
+  chunk_tick_ = 0;
+  XSQ_RETURN_IF_ERROR(finished);
   closed_ = true;
-  if (f_engine_ != nullptr) return f_engine_->status();
-  return nc_engine_->status();
+  return engine_->status();
 }
 
 xml::SaxHandler* StreamingQuery::event_handler() {
   // Direct event delivery skips the parser, so there is no parse phase
   // to split out; callers time replay as a whole (see Session::RunTape).
-  return engine_handler();
+  return engine_.get();
 }
 
-Status StreamingQuery::engine_status() const {
-  if (f_engine_ != nullptr) return f_engine_->status();
-  return nc_engine_->status();
-}
+Status StreamingQuery::engine_status() const { return engine_->status(); }
 
 Status StreamingQuery::FinishEvents() {
   closed_ = true;
@@ -286,15 +281,12 @@ Status StreamingQuery::FinishEvents() {
 
 void StreamingQuery::Reset() {
   parser_->Reset();
-#if XSQ_OBS_ENABLED
   if (phase_shim_ != nullptr) phase_shim_->ResetCounters();
   chunk_tick_ = 0;
   sampled_chunks_ = 0;
   phase_parse_ns_ = phase_automaton_ns_ = phase_buffer_ns_ = 0;
-  parser_->set_handler(engine_handler());
-#endif
-  if (f_engine_ != nullptr) f_engine_->Reset();
-  if (nc_engine_ != nullptr) nc_engine_->Reset();
+  parser_->set_handler(engine_.get());
+  engine_->Reset();
   sink_.items.clear();
   sink_.aggregate_updates.clear();
   sink_.aggregate.reset();
@@ -304,22 +296,23 @@ void StreamingQuery::Reset() {
 
 std::optional<std::string> StreamingQuery::NextItem() {
   if (next_item_ >= sink_.items.size()) return std::nullopt;
-  return sink_.items[next_item_++];
+  std::string item = std::move(sink_.items[next_item_++]);
+  if (next_item_ == sink_.items.size()) {  // drained: drop the husks
+    sink_.items.clear();
+    next_item_ = 0;
+  }
+  return item;
 }
 
 size_t StreamingQuery::peak_buffered_bytes() const {
-  if (f_engine_ != nullptr) return f_engine_->memory().peak_bytes();
-  return nc_engine_->memory().peak_bytes();
+  return engine_->memory().peak_bytes();
 }
 
 size_t StreamingQuery::buffered_bytes() const {
   // The parser's retained bytes (unconsumed chunk tail + live arenas)
   // count too: an adversarial stream can park memory in an unterminated
   // construct just as well as in undecided predicate buffers.
-  size_t engine_bytes = f_engine_ != nullptr
-                            ? f_engine_->memory().current_bytes()
-                            : nc_engine_->memory().current_bytes();
-  return engine_bytes + parser_->retained_bytes();
+  return engine_->memory().current_bytes() + parser_->retained_bytes();
 }
 
 }  // namespace xsq::core

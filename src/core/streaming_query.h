@@ -32,9 +32,8 @@
 #include "common/status.h"
 #include "core/cancel_token.h"
 #include "core/compiled_plan.h"
-#include "core/engine.h"
-#include "core/engine_nc.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "xml/sax_parser.h"
 #include "xpath/ast.h"
 
@@ -50,11 +49,13 @@ namespace xsq::core {
 //               evaluation, and item upload.
 // Measurement is two-level sampling so the hot path stays within the
 // ext_obs overhead bound: every Nth chunk is routed through a timing
-// shim (every Mth SAX callback inside it is clocked and scaled), other
-// chunks run the exact uninstrumented path. One sample is emitted per
-// document, at Close: the sampled-chunk totals scaled by the observed
-// chunks/sampled ratio plus the always-timed Close flush — a
-// statistically faithful estimate of the document's split, not exact.
+// shim (every Mth SAX callback inside it is clocked, the clock's own
+// cost subtracted, and scaled), other chunks run the exact
+// uninstrumented path. One sample is emitted per document, at Close:
+// the sampled-chunk totals scaled by the observed chunks/sampled ratio
+// plus the always-timed Close flush. It is an estimate: the sampled
+// callbacks stand in for the rest, and the clock reads the shim makes
+// are counted as parse.
 class PhaseListener {
  public:
   virtual ~PhaseListener() = default;
@@ -83,8 +84,7 @@ class StreamingQuery {
   // Reset); the listener must outlive the query or be detached first.
   //
   // Cost model: detached, the only overhead is one pointer test per
-  // Push; compiled with XSQ_OBS=OFF the hook is a no-op and the
-  // instrumentation code does not exist at all (compile-time zero).
+  // Push.
   void set_phase_listener(PhaseListener* listener);
 
   // Attaches (or with nullptr detaches) a cooperative cancellation
@@ -134,7 +134,8 @@ class StreamingQuery {
   void Reset();
 
   // Pops the next available result item, in document order; nullopt
-  // when none is available yet (more input may produce more).
+  // when none is available yet (more input may produce more). The item
+  // is moved out: the query keeps no copy.
   std::optional<std::string> NextItem();
 
   // For aggregation queries: the latest running value (updated as the
@@ -148,7 +149,7 @@ class StreamingQuery {
 
   const xpath::Query& query() const { return plan_->query; }
   const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
-  bool uses_deterministic_engine() const { return nc_engine_ != nullptr; }
+  bool uses_deterministic_engine() const { return plan_->deterministic; }
 
   // Peak buffered bytes so far (the engine's accounted memory).
   size_t peak_buffered_bytes() const;
@@ -160,25 +161,22 @@ class StreamingQuery {
   size_t buffered_bytes() const;
 
  private:
-  class PhaseShim;  // sampled SaxHandler timing wrapper (obs builds)
+  class PhaseShim;  // sampled SaxHandler timing wrapper
 
   explicit StreamingQuery(std::shared_ptr<const CompiledPlan> plan);
-
-  // The engine as a SaxHandler, bypassing any phase shim.
-  xml::SaxHandler* engine_handler();
 
   std::shared_ptr<const CompiledPlan> plan_;
   CollectingSink sink_;
   size_t next_item_ = 0;  // items before this index were handed out
-  std::unique_ptr<XsqEngine> f_engine_;
-  std::unique_ptr<XsqNcEngine> nc_engine_;
+  // XSQ-NC when the plan is deterministic, else XSQ-F.
+  std::unique_ptr<StreamingEngine> engine_;
   std::unique_ptr<xml::SaxParser> parser_;
   const CancelToken* cancel_token_ = nullptr;
   PhaseListener* phase_listener_ = nullptr;
   std::unique_ptr<PhaseShim> phase_shim_;
-  // Chunk-level sampling state (obs builds): how many chunks this
-  // document has seen / how many went through the shim, and the
-  // unscaled phase totals of the sampled ones (scaled out at Close).
+  // Chunk-level sampling state: how many chunks this document has
+  // seen / how many went through the shim, and the unscaled phase
+  // totals of the sampled ones (scaled out at Close).
   uint32_t chunk_tick_ = 0;
   uint32_t sampled_chunks_ = 0;
   uint64_t phase_parse_ns_ = 0;

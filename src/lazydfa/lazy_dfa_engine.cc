@@ -7,9 +7,7 @@
 namespace xsq::lazydfa {
 
 LazyDfaEngine::LazyDfaEngine(xpath::Query query, core::ResultSink* sink)
-    : query_(std::move(query)),
-      sink_(sink),
-      output_kind_(query_.output.kind) {
+    : StreamingEngine(query.output.kind, sink), query_(std::move(query)) {
   int next_bit = 0;
   branches_.push_back(&query_.steps);
   offsets_.push_back(next_bit);
@@ -49,13 +47,13 @@ Result<std::unique_ptr<LazyDfaEngine>> LazyDfaEngine::Create(
 }
 
 void LazyDfaEngine::Reset() {
+  StreamingEngine::Reset();  // the automaton is discarded below
   dfa_states_.clear();
   state_ids_.clear();
   state_stack_.clear();
   accept_stack_.clear();
   pending_elements_.clear();
   open_serializations_.clear();
-  status_ = Status::OK();
   // Initial DFA state: every branch's prefix 0 (the document node).
   uint64_t initial = 0;
   for (int offset : offsets_) initial |= uint64_t{1} << offset;
@@ -115,13 +113,11 @@ int LazyDfaEngine::Transition(int state_id, std::string_view tag) {
 
 void LazyDfaEngine::EmitCompleted() {
   while (!pending_elements_.empty() && pending_elements_.front()->complete) {
-    sink_->OnItem(pending_elements_.front()->value);
+    EmitItem(pending_elements_.front()->value);
     memory_.Release(pending_elements_.front()->value.size());
     pending_elements_.pop_front();
   }
 }
-
-void LazyDfaEngine::OnDocumentBegin() { Reset(); }
 
 void LazyDfaEngine::OnBegin(std::string_view tag,
                             const std::vector<xml::Attribute>& attributes,
@@ -151,7 +147,7 @@ void LazyDfaEngine::OnBegin(std::string_view tag,
   } else if (accepting && output_kind_ == xpath::OutputKind::kAttribute) {
     if (const std::string_view* value =
             xpath::FindAttr(attributes, query_.output.attribute)) {
-      sink_->OnItem(*value);
+      EmitItem(*value);
     }
   }
 }
@@ -160,7 +156,7 @@ void LazyDfaEngine::OnText(std::string_view /*enclosing_tag*/,
                            std::string_view text, int /*depth*/) {
   if (!status_.ok()) return;
   if (output_kind_ == xpath::OutputKind::kText && accept_stack_.back()) {
-    sink_->OnItem(text);
+    EmitItem(text);
   } else if (output_kind_ == xpath::OutputKind::kElement &&
              !open_serializations_.empty()) {
     std::string escaped = XmlEscape(text);

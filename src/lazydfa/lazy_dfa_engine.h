@@ -23,22 +23,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "common/status.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "xml/events.h"
 #include "xpath/ast.h"
 
 namespace xsq::lazydfa {
 
-class LazyDfaEngine : public xml::SaxHandler {
+class LazyDfaEngine final : public core::StreamingEngine {
  public:
   // Fails with NotSupported when the query has predicates or an
   // aggregation output (XMLTK supports neither, Figure 14).
   static Result<std::unique_ptr<LazyDfaEngine>> Create(
       const xpath::Query& query, core::ResultSink* sink);
 
-  void OnDocumentBegin() override;
   void OnBegin(std::string_view tag,
                const std::vector<xml::Attribute>& attributes,
                int depth) override;
@@ -47,12 +46,10 @@ class LazyDfaEngine : public xml::SaxHandler {
               int depth) override;
   void OnDocumentEnd() override;
 
-  void Reset();
+  void Reset() override;
 
   // Number of DFA states materialized so far (the lazy-DFA memory cost).
   size_t dfa_state_count() const { return dfa_states_.size(); }
-  const MemoryTracker& memory() const { return memory_; }
-  const Status& status() const { return status_; }
 
  private:
   // One materialized DFA state: a set of NFA states (bitmask over step
@@ -75,8 +72,6 @@ class LazyDfaEngine : public xml::SaxHandler {
   void EmitCompleted();
 
   xpath::Query query_;
-  core::ResultSink* sink_;
-  xpath::OutputKind output_kind_;
   // Union branches flattened into one NFA: branch b owns the state bits
   // [offsets_[b], offsets_[b] + steps.size()], accepting at the last.
   std::vector<const std::vector<xpath::LocationStep>*> branches_;
@@ -91,9 +86,6 @@ class LazyDfaEngine : public xml::SaxHandler {
   // with closures; emission is FIFO to preserve document order).
   std::deque<std::unique_ptr<PendingElement>> pending_elements_;
   std::vector<PendingElement*> open_serializations_;
-
-  MemoryTracker memory_;
-  Status status_;
 };
 
 }  // namespace xsq::lazydfa

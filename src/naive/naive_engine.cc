@@ -1,13 +1,11 @@
 #include "naive/naive_engine.h"
 
-#include <algorithm>
-
 #include "dom/evaluator.h"
 
 namespace xsq::naive {
 
 NaiveEngine::NaiveEngine(xpath::Query query, core::ResultSink* sink)
-    : query_(std::move(query)), sink_(sink) {
+    : StreamingEngine(query.output.kind, sink), query_(std::move(query)) {
   Reset();
 }
 
@@ -24,18 +22,11 @@ Result<std::unique_ptr<NaiveEngine>> NaiveEngine::Create(
 }
 
 void NaiveEngine::Reset() {
+  StreamingEngine::Reset();  // the candidate is discarded below
   buffering_.reset();
   build_stack_.clear();
   candidate_depth_ = 0;
-  agg_count_ = 0;
-  agg_numeric_count_ = 0;
-  agg_sum_ = 0.0;
-  agg_min_ = 0.0;
-  agg_max_ = 0.0;
-  status_ = Status::OK();
 }
-
-void NaiveEngine::OnDocumentBegin() { Reset(); }
 
 bool NaiveEngine::IsCandidate(std::string_view tag, int depth) const {
   const xpath::LocationStep& first = query_.steps.front();
@@ -91,77 +82,18 @@ void NaiveEngine::EvaluateCandidate() {
     status_ = result.status();
     return;
   }
-  for (const std::string& item : result->items) {
-    sink_->OnItem(item);
-  }
-  if (!xpath::IsAggregation(query_.output.kind)) return;
-  agg_count_ += result->match_count;
-  if (result->numeric_count > 0) {
-    if (agg_numeric_count_ == 0) {
-      agg_min_ = result->min;
-      agg_max_ = result->max;
-    } else {
-      agg_min_ = std::min(agg_min_, result->min);
-      agg_max_ = std::max(agg_max_, result->max);
-    }
-    agg_numeric_count_ += result->numeric_count;
-    agg_sum_ += result->sum;
-  }
-  // Incremental updates, one per candidate subtree.
-  switch (query_.output.kind) {
-    case xpath::OutputKind::kCount:
-      sink_->OnAggregateUpdate(static_cast<double>(agg_count_));
-      break;
-    case xpath::OutputKind::kSum:
-      sink_->OnAggregateUpdate(agg_sum_);
-      break;
-    case xpath::OutputKind::kAvg:
-      if (agg_numeric_count_ > 0) {
-        sink_->OnAggregateUpdate(agg_sum_ /
-                                 static_cast<double>(agg_numeric_count_));
-      }
-      break;
-    case xpath::OutputKind::kMin:
-      if (agg_numeric_count_ > 0) sink_->OnAggregateUpdate(agg_min_);
-      break;
-    case xpath::OutputKind::kMax:
-      if (agg_numeric_count_ > 0) sink_->OnAggregateUpdate(agg_max_);
-      break;
-    default:
-      break;
+  for (const std::string& item : result->items) EmitItem(item);
+  // An aggregation folds the candidate's partial result into the
+  // statistics buffer; the running value is reported if it changed.
+  if (xpath::IsAggregation(output_kind_) &&
+      aggregator_.Absorb(result->match_count, result->numeric_count,
+                         result->sum, result->min, result->max)) {
+    EmitRunningAggregate();
   }
 }
 
 void NaiveEngine::OnDocumentEnd() {
-  if (!status_.ok()) return;
-  if (!xpath::IsAggregation(query_.output.kind)) return;
-  switch (query_.output.kind) {
-    case xpath::OutputKind::kCount:
-      sink_->OnAggregateFinal(static_cast<double>(agg_count_));
-      break;
-    case xpath::OutputKind::kSum:
-      sink_->OnAggregateFinal(agg_sum_);
-      break;
-    case xpath::OutputKind::kAvg:
-      sink_->OnAggregateFinal(
-          agg_numeric_count_ > 0
-              ? std::optional<double>(agg_sum_ /
-                                      static_cast<double>(agg_numeric_count_))
-              : std::nullopt);
-      break;
-    case xpath::OutputKind::kMin:
-      sink_->OnAggregateFinal(agg_numeric_count_ > 0
-                                  ? std::optional<double>(agg_min_)
-                                  : std::nullopt);
-      break;
-    case xpath::OutputKind::kMax:
-      sink_->OnAggregateFinal(agg_numeric_count_ > 0
-                                  ? std::optional<double>(agg_max_)
-                                  : std::nullopt);
-      break;
-    default:
-      break;
-  }
+  if (status_.ok()) EmitFinalAggregate();
 }
 
 }  // namespace xsq::naive

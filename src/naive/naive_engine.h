@@ -21,22 +21,20 @@
 #include <string_view>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "common/status.h"
-#include "core/aggregator.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "dom/node.h"
 #include "xml/events.h"
 #include "xpath/ast.h"
 
 namespace xsq::naive {
 
-class NaiveEngine : public xml::SaxHandler {
+class NaiveEngine final : public core::StreamingEngine {
  public:
   static Result<std::unique_ptr<NaiveEngine>> Create(
       const xpath::Query& query, core::ResultSink* sink);
 
-  void OnDocumentBegin() override;
   void OnBegin(std::string_view tag,
                const std::vector<xml::Attribute>& attributes,
                int depth) override;
@@ -45,10 +43,7 @@ class NaiveEngine : public xml::SaxHandler {
               int depth) override;
   void OnDocumentEnd() override;
 
-  void Reset();
-
-  const MemoryTracker& memory() const { return memory_; }
-  const Status& status() const { return status_; }
+  void Reset() override;
 
  private:
   NaiveEngine(xpath::Query query, core::ResultSink* sink);
@@ -57,22 +52,11 @@ class NaiveEngine : public xml::SaxHandler {
   void EvaluateCandidate();
 
   xpath::Query query_;
-  core::ResultSink* sink_;
 
   // Candidate subtree being buffered (null when outside a candidate).
   std::unique_ptr<dom::Document> buffering_;
   std::vector<dom::Node*> build_stack_;
   int candidate_depth_ = 0;
-
-  // Running aggregate across candidates.
-  size_t agg_count_ = 0;
-  size_t agg_numeric_count_ = 0;
-  double agg_sum_ = 0.0;
-  double agg_min_ = 0.0;
-  double agg_max_ = 0.0;
-
-  MemoryTracker memory_;
-  Status status_;
 };
 
 }  // namespace xsq::naive

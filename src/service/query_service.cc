@@ -653,6 +653,14 @@ void QueryService::MaybeLogSlowQuery(const SessionState& state,
   if (config_.slow_query_ms == 0) return;
   if (elapsed_us < static_cast<uint64_t>(config_.slow_query_ms) * 1000) return;
   Session::PhaseTotals phases = state.session->phase_totals();
+  if (phases.replay_ns > 0) {  // a RunCached replay: no parse, no split
+    std::fprintf(stderr,
+                 "[xsq] slow query: %.1f ms total (replay %.1f ms) %s\n",
+                 static_cast<double>(elapsed_us) / 1e3,
+                 static_cast<double>(phases.replay_ns) / 1e6,
+                 state.session->query().ToString().c_str());
+    return;
+  }
   std::fprintf(stderr,
                "[xsq] slow query: %.1f ms total "
                "(parse %.1f ms, automaton %.1f ms, buffer %.1f ms) %s\n",

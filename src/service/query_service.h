@@ -87,8 +87,8 @@ struct ServiceConfig {
   // Byte budget for resident tapes (0 = unlimited).
   size_t doc_cache_byte_budget = 0;
   // Requests (Close/RunCached completions) at or above this many
-  // milliseconds are logged to stderr with their phase breakdown
-  // (0 = disabled).
+  // milliseconds are logged to stderr with their phase breakdown, or a
+  // RunCached with its replay time (0 = disabled).
   size_t slow_query_ms = 0;
   // Service-wide default deadline for a document request, milliseconds
   // (0 = none). Armed when a document's first work arrives; a request

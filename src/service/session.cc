@@ -35,7 +35,7 @@ Session::Session(std::unique_ptr<core::StreamingQuery> query,
       query_(std::move(query)) {
   // With metrics attached the session doubles as the query's phase
   // listener; per-chunk samples accumulate into phases_ and flush to the
-  // histograms once per document. No-op in XSQ_OBS=OFF builds.
+  // histograms once per document.
   if (metrics_ != nullptr) query_->set_phase_listener(this);
   query_->set_parser_limits(parser_limits);
   query_->set_cancel_token(&cancel_);
@@ -50,8 +50,8 @@ void Session::OnPhaseSample(uint64_t parse_ns, uint64_t automaton_ns,
 
 void Session::RecordPhaseHistograms() {
   if (metrics_ == nullptr) return;
-  // In XSQ_OBS=OFF builds no samples ever arrive; suppress the all-zero
-  // document record so the histograms stay empty rather than misleading.
+  // A document that failed before its Close sample carries no split;
+  // record nothing rather than zeros.
   if (phases_.parse_ns == 0 && phases_.automaton_ns == 0 &&
       phases_.buffer_ns == 0) {
     return;
@@ -176,6 +176,12 @@ Status Session::RunTape(const tape::Tape& tape) {
 
   obs::ScopedTimer replay_timer(metrics_ != nullptr ? metrics_->tape_replay_us
                                                     : nullptr);
+  Status step = ReplayTape(tape);
+  phases_.replay_ns = replay_timer.ElapsedNanos();
+  return step;
+}
+
+Status Session::ReplayTape(const tape::Tape& tape) {
   tape::TapeReplayer replayer(tape);
   xml::SaxHandler* handler = query_->event_handler();
   while (replayer.Step(handler, kReplayBatchEvents)) {

@@ -132,11 +132,14 @@ class Session : private core::PhaseListener {
   // Accumulated parse/automaton/buffer time for the current document,
   // nanoseconds. Only meaningful with metrics attached; written by the
   // streaming thread and intended to be read there too (the slow-query
-  // log reads it right after Close on the same worker).
+  // log reads it right after Close or RunTape on the same worker). A
+  // replayed document has no parse and no sampled split: its whole
+  // RunTape replay is `replay_ns`, with or without metrics.
   struct PhaseTotals {
     uint64_t parse_ns = 0;
     uint64_t automaton_ns = 0;
     uint64_t buffer_ns = 0;
+    uint64_t replay_ns = 0;
   };
   PhaseTotals phase_totals() const { return phases_; }
 
@@ -149,6 +152,9 @@ class Session : private core::PhaseListener {
   // core::PhaseListener: per-chunk phase sample from the query.
   void OnPhaseSample(uint64_t parse_ns, uint64_t automaton_ns,
                      uint64_t buffer_ns) override;
+
+  // RunTape's replay loop, timed by RunTape.
+  Status ReplayTape(const tape::Tape& tape);
 
   // Harvests new items/aggregates after an engine step, updates the
   // buffered-bytes gauge, and records `step` as the session status.

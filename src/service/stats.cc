@@ -76,15 +76,10 @@ void StatsSnapshot::Merge(const StatsSnapshot& other) {
 }
 
 void StatsSnapshot::AppendMetrics(std::string* out) const {
-  // Whether the per-phase hooks were compiled in; scrapers (and the
-  // smoke test) use this to know if the phase histograms can populate.
-#if XSQ_OBS_ENABLED
+  // The per-phase hooks are always compiled in, so this reads 1; it
+  // stays in the exposition so scrapers keyed on it keep working.
   obs::Registry::AppendScalar(out, kObsEnabledMetric, obs::ScalarKind::kGauge,
                               1);
-#else
-  obs::Registry::AppendScalar(out, kObsEnabledMetric, obs::ScalarKind::kGauge,
-                              0);
-#endif
   std::string name(kMetricPrefix);
   for (const FieldSpec& spec : kFields) {
     name.resize(kMetricPrefix.size());

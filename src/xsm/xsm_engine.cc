@@ -22,11 +22,12 @@ class TokenSinkBase {
 };
 
 // The terminal machine: applies the output expression to the matched
-// element subtrees the last stage forwards.
+// element subtrees the last stage forwards, handing each result to the
+// engine's emit rule.
 class XsmEngine::OutputCollector : public TokenSinkBase {
  public:
-  OutputCollector(const xpath::OutputExpr& output, core::ResultSink* sink)
-      : output_(output), sink_(sink), aggregator_(output.kind) {}
+  OutputCollector(const xpath::OutputExpr& output, XsmEngine* engine)
+      : output_(output), engine_(engine) {}
 
   void Process(const Token& token) override {
     switch (token.type) {
@@ -43,7 +44,7 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
           serialized_ += XmlEscape(token.text);
         } else if (depth_ == 1) {
           if (output_.kind == xpath::OutputKind::kText) {
-            sink_->OnItem(token.text);
+            engine_->EmitItem(token.text);
           } else if (xpath::IsAggregation(output_.kind)) {
             element_text_ += token.text;
           }
@@ -59,17 +60,10 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
     }
   }
 
-  void FinishDocument() {
-    if (xpath::IsAggregation(output_.kind)) {
-      sink_->OnAggregateFinal(aggregator_.Final());
-    }
-  }
-
   void Reset() {
     depth_ = 0;
     serialized_.clear();
     element_text_.clear();
-    aggregator_ = core::Aggregator(output_.kind);
   }
 
  private:
@@ -82,7 +76,7 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
       case xpath::OutputKind::kAttribute:
         if (const std::string* value =
                 xpath::FindAttr(token.attributes, output_.attribute)) {
-          sink_->OnItem(*value);
+          engine_->EmitItem(*value);
         }
         break;
       case xpath::OutputKind::kText:
@@ -95,20 +89,16 @@ class XsmEngine::OutputCollector : public TokenSinkBase {
 
   void FinishElement() {
     if (output_.kind == xpath::OutputKind::kElement) {
-      sink_->OnItem(serialized_);
+      engine_->EmitItem(serialized_);
       serialized_.clear();
     } else if (xpath::IsAggregation(output_.kind)) {
-      if (aggregator_.Update(element_text_)) {
-        std::optional<double> current = aggregator_.Current();
-        if (current.has_value()) sink_->OnAggregateUpdate(*current);
-      }
+      engine_->EmitItem(element_text_);
       element_text_.clear();
     }
   }
 
   const xpath::OutputExpr& output_;
-  core::ResultSink* sink_;
-  core::Aggregator aggregator_;
+  XsmEngine* engine_;
   int depth_ = 0;
   std::string serialized_;
   std::string element_text_;
@@ -276,8 +266,8 @@ class XsmEngine::Stage : public TokenSinkBase {
 };
 
 XsmEngine::XsmEngine(xpath::Query query, core::ResultSink* sink)
-    : query_(std::move(query)), sink_(sink) {
-  collector_ = std::make_unique<OutputCollector>(query_.output, sink_);
+    : StreamingEngine(query.output.kind, sink), query_(std::move(query)) {
+  collector_ = std::make_unique<OutputCollector>(query_.output, this);
   TokenSinkBase* next = collector_.get();
   for (size_t i = query_.steps.size(); i > 0; --i) {
     bool is_last = i == query_.steps.size();
@@ -310,12 +300,10 @@ Result<std::unique_ptr<XsmEngine>> XsmEngine::Create(
 }
 
 void XsmEngine::Reset() {
+  StreamingEngine::Reset();  // the stage queues are dropped below
   for (auto& stage : stages_) stage->Reset();
   collector_->Reset();
-  status_ = Status::OK();
 }
-
-void XsmEngine::OnDocumentBegin() { Reset(); }
 
 void XsmEngine::OnBegin(std::string_view tag,
                         const std::vector<xml::Attribute>& attributes,
@@ -343,6 +331,6 @@ void XsmEngine::OnEnd(std::string_view tag, int /*depth*/) {
   stages_.front()->Process(token);
 }
 
-void XsmEngine::OnDocumentEnd() { collector_->FinishDocument(); }
+void XsmEngine::OnDocumentEnd() { EmitFinalAggregate(); }
 
 }  // namespace xsq::xsm

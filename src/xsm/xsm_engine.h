@@ -29,10 +29,9 @@
 #include <string_view>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "common/status.h"
-#include "core/aggregator.h"
 #include "core/result_sink.h"
+#include "core/streaming_engine.h"
 #include "xml/events.h"
 #include "xpath/ast.h"
 
@@ -51,7 +50,7 @@ struct Token {
   size_t ApproxBytes() const;
 };
 
-class XsmEngine : public xml::SaxHandler {
+class XsmEngine final : public core::StreamingEngine {
  public:
   // Fails with NotSupported for queries with closure axes.
   static Result<std::unique_ptr<XsmEngine>> Create(const xpath::Query& query,
@@ -59,7 +58,6 @@ class XsmEngine : public xml::SaxHandler {
 
   ~XsmEngine() override;  // out of line: Stage/OutputCollector are opaque
 
-  void OnDocumentBegin() override;
   void OnBegin(std::string_view tag,
                const std::vector<xml::Attribute>& attributes,
                int depth) override;
@@ -68,12 +66,11 @@ class XsmEngine : public xml::SaxHandler {
               int depth) override;
   void OnDocumentEnd() override;
 
-  void Reset();
+  void Reset() override;
 
-  const Status& status() const { return status_; }
-  // Total bytes buffered across every stage's queue, peak.
-  const MemoryTracker& memory() const { return memory_; }
-  // Tokens copied between stages (the chaining overhead).
+  // memory() counts the bytes buffered across every stage's queue;
+  // this counts the tokens copied between stages (the chaining
+  // overhead).
   uint64_t tokens_forwarded() const { return tokens_forwarded_; }
 
  private:
@@ -83,12 +80,9 @@ class XsmEngine : public xml::SaxHandler {
   XsmEngine(xpath::Query query, core::ResultSink* sink);
 
   xpath::Query query_;
-  core::ResultSink* sink_;
   std::vector<std::unique_ptr<Stage>> stages_;
   std::unique_ptr<OutputCollector> collector_;
-  MemoryTracker memory_;
   uint64_t tokens_forwarded_ = 0;
-  Status status_;
 };
 
 }  // namespace xsq::xsm

@@ -258,7 +258,7 @@ TEST(XsqEngineTest, StatsTrackMatchesAndItems) {
   ASSERT_TRUE(parser.Parse("<a>1<a>2</a></a>").ok());
   ASSERT_TRUE((*engine)->status().ok());
   EXPECT_GE((*engine)->stats().matches_created, 2u);
-  EXPECT_EQ((*engine)->stats().items_emitted, 2u);  // "1" and "2"
+  EXPECT_EQ((*engine)->items_emitted(), 2u);  // "1" and "2"
 }
 
 TEST(XsqEngineTest, MemoryReleasedAfterRun) {

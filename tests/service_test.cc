@@ -398,7 +398,6 @@ TEST(QueryServiceStressTest, MetricsPopulateUnderConcurrentLoad) {
       registry.FindHistogram("xsq_chunk_latency_us");
   ASSERT_NE(chunk_latency, nullptr);
   EXPECT_EQ(chunk_latency->count(), kDocs * 3);
-#if XSQ_OBS_ENABLED
   // Phase histograms: one sample per document (flushed at Close).
   for (const char* name : {"xsq_phase_parse_us", "xsq_phase_automaton_us",
                            "xsq_phase_buffer_us"}) {
@@ -406,7 +405,6 @@ TEST(QueryServiceStressTest, MetricsPopulateUnderConcurrentLoad) {
     ASSERT_NE(phase, nullptr) << name;
     EXPECT_EQ(phase->count(), kDocs) << name;
   }
-#endif
 
   // The combined exposition carries both the histograms and the STATS
   // scalars, so one METRICS scrape reconciles them.
@@ -496,6 +494,43 @@ TEST(QueryServiceTapeTest, RunCachedPopulatesReplayMetrics) {
       registry.FindHistogram("xsq_request_latency_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 2u);
+}
+
+// A slow RunCached logs its replay time. A replay has no parse and no
+// sampled phase split, so the parse/automaton/buffer form read all
+// zeros for it.
+TEST(QueryServiceTapeTest, SlowRunCachedLogsItsReplayTime) {
+  ServiceConfig config = SmallConfig(1);
+  config.slow_query_ms = 1;
+  QueryService service(config);
+  // Enough elements that one replay takes well over the 1 ms threshold.
+  std::string doc = "<r>";
+  for (int i = 0; i < 200000; ++i) {
+    doc += "<e>" + std::to_string(i) + "</e>";
+  }
+  doc += "</r>";
+  ASSERT_TRUE(service.RecordDocument("doc", doc).ok());
+  auto id = service.OpenSession("//e/text()");
+  ASSERT_TRUE(id.ok());
+  testing::internal::CaptureStderr();
+  Status status = service.RunCached(*id, "doc");
+  std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(service.Drain(*id).size(), 200000u);
+
+  size_t at = log.find("[xsq] slow query: ");
+  ASSERT_NE(at, std::string::npos) << log;
+  EXPECT_EQ(log.find("parse 0.0 ms", at), std::string::npos) << log;
+  double total_ms = 0.0;
+  double replay_ms = 0.0;
+  ASSERT_EQ(std::sscanf(log.c_str() + at,
+                        "[xsq] slow query: %lf ms total (replay %lf ms)",
+                        &total_ms, &replay_ms),
+            2)
+      << log;
+  EXPECT_GE(total_ms, 1.0) << log;
+  EXPECT_GT(replay_ms, 0.0) << log;
+  EXPECT_LE(replay_ms, total_ms) << log;
 }
 
 // Concurrent plan-cache access from many threads on overlapping keys.

@@ -134,12 +134,9 @@ QUIT
 EOF
 ) || { echo "xsqd exited non-zero in METRICS block" >&2; exit 1; }
 
-# Wall-clock histograms populate in every build; the phase histograms
-# additionally need the XSQ_OBS hooks compiled in (xsq_obs_enabled 1).
+# Every histogram populates, the serve-time phase split included.
 hists="xsq_request_latency_us xsq_queue_wait_us xsq_chunk_latency_us"
-if echo "$metrics" | grep -q "^METRIC xsq_obs_enabled 1$"; then
-  hists="$hists xsq_phase_parse_us xsq_phase_automaton_us xsq_phase_buffer_us"
-fi
+hists="$hists xsq_phase_parse_us xsq_phase_automaton_us xsq_phase_buffer_us"
 for hist in $hists; do
   count=$(echo "$metrics" | sed -n "s/^METRIC ${hist}_count //p")
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
