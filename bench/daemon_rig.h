@@ -106,7 +106,7 @@ inline std::unique_ptr<cluster::Router> StartRouter(
     size_t replication_factor) {
   cluster::RouterConfig config;
   for (const auto& shard : shards) {
-    config.shards.push_back(cluster::ShardAddress{"127.0.0.1", shard->port()});
+    config.shards.push_back(net::Endpoint{"127.0.0.1", shard->port()});
   }
   config.start_prober = false;
   config.probe.fail_threshold = 1;

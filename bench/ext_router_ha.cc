@@ -53,7 +53,6 @@ namespace {
 using cluster::GossipDigest;
 using cluster::Router;
 using cluster::RouterConfig;
-using cluster::ShardAddress;
 using cluster::ShardHealth;
 using cluster::ShardMap;
 using net::LineProtocol;
@@ -95,7 +94,7 @@ std::string DocName(size_t i) { return "hadoc" + std::to_string(i); }
 
 // ------------------------------------------- (a) staged-disagreement merge
 
-int GossipConvergence(const std::vector<ShardAddress>& shards,
+int GossipConvergence(const std::vector<net::Endpoint>& shards,
                       const std::vector<std::string>& docs,
                       bool* converged) {
   std::printf(
@@ -193,7 +192,7 @@ struct FailoverResult {
 };
 
 int KillRouterMidWorkload(const std::string& router_binary,
-                          const std::vector<ShardAddress>& shards,
+                          const std::vector<net::Endpoint>& shards,
                           const std::vector<std::string>& docs,
                           FailoverResult* result) {
   std::printf("\n(b) SIGKILL one of two routers mid-workload\n");
@@ -209,9 +208,8 @@ int KillRouterMidWorkload(const std::string& router_binary,
         "--gossip-interval-ms=100",
         "--peers=127.0.0.1:" + std::to_string(peer),
     };
-    for (const ShardAddress& shard : shards) {
-      argv.push_back("--shard=" + shard.host + ":" +
-                     std::to_string(shard.port));
+    for (const net::Endpoint& shard : shards) {
+      argv.push_back("--shard=" + shard.ToString());
     }
     return process->Start(argv);
   };
@@ -331,16 +329,15 @@ int KillRouterMidWorkload(const std::string& router_binary,
 // --------------------------------------------------- (c) transcript parity
 
 int TranscriptParity(const std::string& router_binary,
-                     const std::vector<ShardAddress>& shards,
+                     const std::vector<net::Endpoint>& shards,
                      const std::vector<std::string>& docs,
                      const FailoverResult& failover, bool* identical) {
   std::printf("\n(c) Transcript parity: failover vs single-router bytes\n");
   // A fresh single-router deployment over the same shards (the tapes
   // are resident; RUNCACHED replays deterministically).
   std::vector<std::string> argv = {router_binary, "--listen=0"};
-  for (const ShardAddress& shard : shards) {
-    argv.push_back("--shard=" + shard.host + ":" +
-                   std::to_string(shard.port));
+  for (const net::Endpoint& shard : shards) {
+    argv.push_back("--shard=" + shard.ToString());
   }
   DaemonProcess solo;
   if (!solo.Start(argv)) {
@@ -399,7 +396,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<std::unique_ptr<DaemonProcess>> shards;
-  std::vector<ShardAddress> addresses;
+  std::vector<net::Endpoint> addresses;
   for (size_t i = 0; i < 3; ++i) {
     auto shard = std::make_unique<DaemonProcess>();
     // --doc-cache=0: the audit legs inventory every recorded document.

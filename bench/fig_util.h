@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench_util/runner.h"
 #include "bench_util/table.h"
+#include "bench_util/timing.h"
 
 namespace xsq::bench {
 
@@ -26,6 +28,58 @@ inline double BenchScale() {
 
 inline size_t ScaledBytes(size_t base) {
   return static_cast<size_t>(static_cast<double>(base) * BenchScale());
+}
+
+// One system's throughput relative to the PureParser on the same bytes
+// (Section 6.2), from paired rounds: bench_util's TimePaired alternates
+// a PureParser run and a system run, so host speed drift lands on both
+// legs of a round instead of in the ratio. Each leg runs twice in its
+// turn and only the second run counts: a parse that follows a DOM
+// build and teardown runs slower than one that follows a parse, and
+// without the repeat that order effect splits the per-round ratios of
+// the allocation-heavy systems into two clusters.
+struct PairedRun {
+  RunMeasurement run;     // the system's last run (support, items)
+  double relative = 0.0;  // median over rounds of the per-round ratio
+  double mb_per_s = 0.0;  // the system's median throughput
+};
+
+inline Result<PairedRun> RunPaired(System system, std::string_view query_text,
+                                   std::string_view xml, int rounds = 15) {
+  // One unpaired run first: support check and warm-up.
+  Result<RunMeasurement> first = RunSystem(system, query_text, xml);
+  if (!first.ok()) return first.status();
+  PairedRun paired{*first};
+  if (!first->supported) return paired;
+  std::vector<RunMeasurement> pure;
+  std::vector<RunMeasurement> own;
+  Status failed = Status::OK();
+  auto measure = [&](System leg, std::string_view query,
+                     std::vector<RunMeasurement>* into) {
+    Result<RunMeasurement> m = RunSystem(leg, query, xml);
+    if (m.ok()) m = RunSystem(leg, query, xml);
+    if (m.ok()) {
+      into->push_back(*m);
+    } else {
+      failed = m.status();
+    }
+  };
+  // The ratio is taken from each run's own phase timers (RelativeThroughput,
+  // as before); TimePaired supplies the alternating schedule.
+  TimePaired(
+      rounds, [&] { measure(System::kPureParser, "", &pure); },
+      [&] { measure(system, query_text, &own); });
+  XSQ_RETURN_IF_ERROR(failed);
+  std::vector<double> ratios;
+  std::vector<double> rates;
+  for (size_t r = 0; r < own.size(); ++r) {
+    ratios.push_back(RelativeThroughput(own[r], pure[r]));
+    rates.push_back(own[r].throughput_mb_per_s());
+  }
+  paired.run = own.back();
+  paired.relative = Median(std::move(ratios));
+  paired.mb_per_s = Median(std::move(rates));
+  return paired;
 }
 
 // Runs `reps` times and keeps the fastest run (steadier numbers for

@@ -61,11 +61,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
 #include "cluster/router.h"
+#include "net/client.h"
 #include "net/server.h"
 
 namespace {
@@ -90,41 +92,12 @@ size_t FlagValue(std::string_view arg, size_t fallback) {
       std::strtoull(std::string(arg.substr(eq + 1)).c_str(), nullptr, 10));
 }
 
-bool ParseHostPort(std::string_view spec, xsq::cluster::ShardAddress* out) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string_view::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return false;
-  }
-  out->host.assign(spec.substr(0, colon));
-  out->port = static_cast<uint16_t>(
-      std::strtoul(std::string(spec.substr(colon + 1)).c_str(), nullptr, 10));
-  return out->port != 0;
-}
-
-bool ParseShard(std::string_view arg, xsq::cluster::ShardAddress* out) {
-  size_t eq = arg.find('=');
-  if (eq == std::string_view::npos) return false;
-  return ParseHostPort(arg.substr(eq + 1), out);
-}
-
-// "--peers=a:1,b:2" -> appends each HOST:PORT to *out.
-bool ParsePeers(std::string_view arg,
-                std::vector<xsq::cluster::ShardAddress>* out) {
-  size_t eq = arg.find('=');
-  if (eq == std::string_view::npos) return false;
-  std::string_view list = arg.substr(eq + 1);
-  while (!list.empty()) {
-    size_t comma = list.find(',');
-    std::string_view spec = list.substr(0, comma);
-    list = comma == std::string_view::npos ? std::string_view()
-                                           : list.substr(comma + 1);
-    if (spec.empty()) continue;
-    xsq::cluster::ShardAddress peer;
-    if (!ParseHostPort(spec, &peer)) return false;
-    out->push_back(std::move(peer));
-  }
-  return true;
+int Usage() {
+  std::fprintf(stderr,
+               "usage: xsq_router --listen=PORT --shard=HOST:PORT... "
+               "[--peers=HOST:PORT[,HOST:PORT...]] [flags]; PORT is "
+               "1-65535 (--listen=0 picks a free port)\n");
+  return 2;
 }
 
 }  // namespace
@@ -134,16 +107,15 @@ int main(int argc, char** argv) {
   xsq::net::ServerConfig net_config;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (arg.rfind("--listen", 0) == 0) {
-      net_config.port = static_cast<uint16_t>(FlagValue(arg, 0));
-    } else if (arg.rfind("--shard", 0) == 0) {
-      xsq::cluster::ShardAddress shard;
-      if (!ParseShard(arg, &shard)) {
-        std::fprintf(stderr, "bad --shard (want HOST:PORT): %s\n",
-                     std::string(arg).c_str());
-        return 2;
-      }
-      config.shards.push_back(std::move(shard));
+    if (arg.rfind("--listen=", 0) == 0) {
+      std::optional<uint16_t> port = xsq::net::ParseListenPort(arg.substr(9));
+      if (!port.has_value()) return Usage();
+      net_config.port = *port;
+    } else if (arg.rfind("--shard=", 0) == 0) {
+      std::optional<xsq::net::Endpoint> shard =
+          xsq::net::ParseEndpoint(arg.substr(8));
+      if (!shard.has_value()) return Usage();
+      config.shards.push_back(*std::move(shard));
     } else if (arg.rfind("--vnodes", 0) == 0) {
       config.vnodes = FlagValue(arg, config.vnodes);
     } else if (arg.rfind("--replication-factor", 0) == 0) {
@@ -156,12 +128,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--probe-rise-threshold", 0) == 0) {
       config.probe.rise_threshold =
           static_cast<int>(FlagValue(arg, config.probe.rise_threshold));
-    } else if (arg.rfind("--peers", 0) == 0) {
-      if (!ParsePeers(arg, &config.gossip.peers)) {
-        std::fprintf(stderr, "bad --peers (want HOST:PORT[,HOST:PORT...]): %s\n",
-                     std::string(arg).c_str());
-        return 2;
-      }
+    } else if (arg.rfind("--peers=", 0) == 0) {
+      auto peers = xsq::net::ParseEndpoints(arg.substr(8));
+      if (!peers.has_value()) return Usage();
+      config.gossip.peers.insert(config.gossip.peers.end(), peers->begin(),
+                                 peers->end());
       config.gossip.enable = true;
     } else if (arg.rfind("--gossip-interval-ms", 0) == 0) {
       config.gossip.interval_ms = FlagValue(arg, config.gossip.interval_ms);
@@ -178,13 +149,10 @@ int main(int argc, char** argv) {
           FlagValue(arg, net_config.drain_deadline_ms);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", std::string(arg).c_str());
-      return 2;
+      return Usage();
     }
   }
-  if (config.shards.empty()) {
-    std::fprintf(stderr, "xsq_router needs at least one --shard=HOST:PORT\n");
-    return 2;
-  }
+  if (config.shards.empty()) return Usage();
 
   auto router = xsq::cluster::Router::Create(std::move(config));
   if (!router.ok()) {

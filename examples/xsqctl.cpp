@@ -14,7 +14,7 @@
 // Commands:
 //   stats                      print the server's STATS block
 //   metrics                    print the METRICS exposition (verb path)
-//   http-metrics               scrape GET /metrics over raw HTTP/1.0
+//   http-metrics               scrape GET /metrics over HTTP/1.0
 //                              (same bytes a Prometheus scraper sees)
 //   query <xpath> [file]       open a session, stream the file (or
 //                              stdin) as one document, print ITEM/AGG
@@ -31,20 +31,21 @@
 //                              --idle-timeout-ms for quiet feeds)
 //   raw <protocol line>        send one verbatim protocol line
 //
+// Every command, http-metrics and follow included, goes through the
+// one net::Client target: --host/--port, or the current --router
+// endpoint.
+//
 // Exit status: 0 on OK, 1 on an ERR reply or transport failure, 2 on
-// usage errors.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+// usage errors, a malformed address or a port outside 1-65535 among
+// them.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -67,34 +68,6 @@ int Usage() {
                "stats|metrics|http-metrics|query|cached|record|publish|"
                "follow|raw ...\n");
   return 2;
-}
-
-// "--router=a:1,b:2" -> endpoint list for net::Client failover.
-bool ParseEndpoints(std::string_view arg,
-                    std::vector<xsq::net::Endpoint>* out) {
-  size_t eq = arg.find('=');
-  if (eq == std::string_view::npos) return false;
-  std::string_view list = arg.substr(eq + 1);
-  while (!list.empty()) {
-    size_t comma = list.find(',');
-    std::string_view spec = list.substr(0, comma);
-    list = comma == std::string_view::npos ? std::string_view()
-                                           : list.substr(comma + 1);
-    if (spec.empty()) continue;
-    size_t colon = spec.rfind(':');
-    if (colon == std::string_view::npos || colon == 0 ||
-        colon + 1 >= spec.size()) {
-      return false;
-    }
-    xsq::net::Endpoint endpoint;
-    endpoint.host.assign(spec.substr(0, colon));
-    endpoint.port = static_cast<uint16_t>(
-        std::strtoul(std::string(spec.substr(colon + 1)).c_str(), nullptr,
-                     10));
-    if (endpoint.port == 0) return false;
-    out->push_back(std::move(endpoint));
-  }
-  return !out->empty();
 }
 
 // Run a sticky OPEN..CLOSE conversation with session-level failover: a
@@ -133,130 +106,74 @@ bool ReadAll(const std::string& path, std::string* out) {
   return true;
 }
 
-void PrintResponse(const Response& response) {
+
+// One request. A transport failure is printed, flagged in
+// *transport_failed when given (the session replays on the next
+// endpoint) and returned as nullopt; an ERR reply is returned.
+std::optional<Response> Send(Client& client, const std::string& line,
+                             bool* transport_failed = nullptr) {
+  auto response = client.Request(line);
+  if (response.ok()) return *std::move(response);
+  if (transport_failed != nullptr) *transport_failed = true;
+  std::fprintf(stderr, "xsqctl: %s\n", response.status().ToString().c_str());
+  return std::nullopt;
+}
+
+// Prints the reply block; returns the exit status of a command that
+// ends with it.
+int Finish(const Response& response) {
   for (const std::string& line : response.lines) {
     std::printf("%s\n", line.c_str());
   }
-  if (response.status.ok()) {
-    if (response.ok_payload.empty()) {
-      std::printf("OK\n");
-    } else {
-      std::printf("OK %s\n", response.ok_payload.c_str());
-    }
-  } else {
+  if (!response.status.ok()) {
     std::printf("ERR %s\n", response.status.ToString().c_str());
-  }
-}
-
-int RunOne(Client& client, const std::string& line) {
-  auto response = client.Request(line);
-  if (!response.ok()) {
-    std::fprintf(stderr, "xsqctl: %s\n",
-                 response.status().ToString().c_str());
     return 1;
   }
-  PrintResponse(*response);
-  return response->status.ok() ? 0 : 1;
-}
-
-// Raw HTTP/1.0 GET /metrics against the same port the protocol uses,
-// proving the scrape path without curl. Prints the response body
-// (headers stripped).
-int HttpMetrics(const ClientConfig& config) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    std::perror("xsqctl: socket");
-    return 1;
+  if (response.ok_payload.empty()) {
+    std::printf("OK\n");
+  } else {
+    std::printf("OK %s\n", response.ok_payload.c_str());
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config.port);
-  if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::perror("xsqctl: connect");
-    ::close(fd);
-    return 1;
-  }
-  const char request[] = "GET /metrics HTTP/1.0\r\n\r\n";
-  if (::send(fd, request, sizeof(request) - 1, MSG_NOSIGNAL) < 0) {
-    std::perror("xsqctl: send");
-    ::close(fd);
-    return 1;
-  }
-  std::string response;
-  char buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // server closes after the response
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  size_t body = response.find("\r\n\r\n");
-  if (response.rfind("HTTP/1.0 200", 0) != 0 || body == std::string::npos) {
-    std::fprintf(stderr, "xsqctl: bad HTTP response\n");
-    return 1;
-  }
-  std::fwrite(response.data() + body + 4, 1, response.size() - body - 4,
-              stdout);
   return 0;
 }
 
-// Follow mode: one raw long-lived connection (net::Client is
-// request/response; EVENT frames arrive unsolicited, so we speak the
-// socket directly). Sends one SUBSCRIBE per query, checks each "OK
-// <sub-id>" reply, then streams every further line — the EVENT feed —
-// to stdout until the server closes the connection.
-int Follow(const ClientConfig& config,
-           const std::vector<std::string>& queries) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    std::perror("xsqctl: socket");
+int RunOne(Client& client, const std::string& line) {
+  std::optional<Response> response = Send(client, line);
+  return response.has_value() ? Finish(*response) : 1;
+}
+
+// GET /metrics over HTTP/1.0 on the port the protocol uses, proving
+// the scrape path without curl. Prints the response body.
+int HttpMetrics(const Client& client, uint64_t timeout_ms) {
+  auto page = xsq::net::HttpGet(client.endpoint(), "/metrics", timeout_ms);
+  if (!page.ok()) {
+    std::fprintf(stderr, "xsqctl: %s\n", page.status().ToString().c_str());
     return 1;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config.port);
-  if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::perror("xsqctl: connect");
-    ::close(fd);
+  if (page->code != 200) {
+    std::fprintf(stderr, "xsqctl: HTTP status %d\n", page->code);
     return 1;
   }
-  std::string request;
+  std::fwrite(page->body.data(), 1, page->body.size(), stdout);
+  return 0;
+}
+
+// Follow mode: one SUBSCRIBE request per query, each reply printed,
+// then every further line on the connection (the asynchronous EVENT
+// feed) to stdout until the server closes it.
+int Follow(Client& client, const std::vector<std::string>& queries) {
   for (const std::string& query : queries) {
-    request += "SUBSCRIBE " + query + "\n";
-  }
-  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) < 0) {
-    std::perror("xsqctl: send");
-    ::close(fd);
-    return 1;
-  }
-  size_t replies_pending = queries.size();
-  bool subscribe_failed = false;
-  std::string buffer;
-  char buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    buffer.append(buf, static_cast<size_t>(n));
-    size_t begin = 0;
-    for (;;) {
-      size_t newline = buffer.find('\n', begin);
-      if (newline == std::string::npos) break;
-      std::string_view line(buffer.data() + begin, newline - begin);
-      std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
-      if (replies_pending > 0 && line.rfind("EVENT ", 0) != 0) {
-        --replies_pending;
-        if (line.rfind("OK ", 0) != 0) subscribe_failed = true;
-      }
-      begin = newline + 1;
-    }
-    buffer.erase(0, begin);
+    std::optional<Response> reply = Send(client, "SUBSCRIBE " + query);
+    if (!reply.has_value() || Finish(*reply) != 0) return 1;
     std::fflush(stdout);
-    if (subscribe_failed) break;
   }
-  ::close(fd);
-  return subscribe_failed ? 1 : 0;
+  std::string line;
+  while (client.ReadLine(&line, std::chrono::steady_clock::time_point::max())
+             .ok()) {
+    std::printf("%s\n", line.c_str());
+    std::fflush(stdout);
+  }
+  return 0;
 }
 
 }  // namespace
@@ -277,14 +194,14 @@ int main(int argc, char** argv) {
       if (eq != std::string_view::npos) {
         config.host = std::string(arg.substr(eq + 1));
       }
-    } else if (arg.rfind("--port", 0) == 0) {
-      config.port = static_cast<uint16_t>(value(0));
-    } else if (arg.rfind("--router", 0) == 0) {
-      if (!ParseEndpoints(arg, &config.endpoints)) {
-        std::fprintf(stderr,
-                     "xsqctl: bad --router (want HOST:PORT[,HOST:PORT...])\n");
-        return 2;
-      }
+    } else if (arg.rfind("--port=", 0) == 0) {
+      std::optional<uint16_t> port = xsq::net::ParsePort(arg.substr(7));
+      if (!port.has_value()) return Usage();
+      config.port = *port;
+    } else if (arg.rfind("--router=", 0) == 0) {
+      auto endpoints = xsq::net::ParseEndpoints(arg.substr(9));
+      if (!endpoints.has_value()) return Usage();
+      config.endpoints = *std::move(endpoints);
     } else if (arg.rfind("--timeout-ms", 0) == 0) {
       config.request_timeout_ms = value(config.request_timeout_ms);
       config.connect_timeout_ms = config.request_timeout_ms;
@@ -299,25 +216,15 @@ int main(int argc, char** argv) {
   if (args.empty() || (config.port == 0 && config.endpoints.empty())) {
     return Usage();
   }
-  // The raw-socket paths (http-metrics, follow) speak to one address;
-  // with --router they use the first endpoint.
-  if (config.port == 0 && !config.endpoints.empty()) {
-    config.host = config.endpoints[0].host;
-    config.port = config.endpoints[0].port;
-  }
   const std::string& command = args[0];
-
-  if (command == "http-metrics") {
-    return HttpMetrics(config);
-  }
-  if (command == "follow") {
-    if (args.size() < 2) return Usage();
-    return Follow(config,
-                  std::vector<std::string>(args.begin() + 1, args.end()));
-  }
-
   Client client(config);
-  if (command == "stats") {
+  if (command == "http-metrics") {
+    return HttpMetrics(client, config.request_timeout_ms);
+  } else if (command == "follow") {
+    if (args.size() < 2) return Usage();
+    return Follow(client,
+                  std::vector<std::string>(args.begin() + 1, args.end()));
+  } else if (command == "stats") {
     return RunOne(client, "STATS");
   } else if (command == "metrics") {
     return RunOne(client, "METRICS");
@@ -343,25 +250,15 @@ int main(int argc, char** argv) {
   } else if (command == "cached") {
     if (args.size() < 3) return Usage();
     return RunSession(client, [&args](Client& c, bool* transport_failed) {
-      auto open = c.Request("OPEN " + args[2]);
-      if (!open.ok()) {
-        *transport_failed = true;
-        std::fprintf(stderr, "xsqctl: %s\n",
-                     open.status().ToString().c_str());
-        return 1;
-      }
+      auto open = Send(c, "OPEN " + args[2], transport_failed);
+      if (!open.has_value()) return 1;
       if (!open->status.ok()) {
         std::fprintf(stderr, "xsqctl: OPEN failed\n");
         return 1;
       }
-      auto run = c.Request("RUNCACHED " + open->ok_payload + " " + args[1]);
-      if (!run.ok()) {
-        *transport_failed = true;
-        std::fprintf(stderr, "xsqctl: %s\n", run.status().ToString().c_str());
-        return 1;
-      }
-      PrintResponse(*run);
-      return run->status.ok() ? 0 : 1;
+      auto run = Send(c, "RUNCACHED " + open->ok_payload + " " + args[1],
+                      transport_failed);
+      return run.has_value() ? Finish(*run) : 1;
     });
   } else if (command == "query") {
     if (args.size() < 2) return Usage();
@@ -372,39 +269,19 @@ int main(int argc, char** argv) {
     }
     return RunSession(client, [&args, &document](Client& c,
                                                  bool* transport_failed) {
-      auto open = c.Request("OPEN " + args[1]);
-      if (!open.ok()) {
-        *transport_failed = true;
-        std::fprintf(stderr, "xsqctl: %s\n",
-                     open.status().ToString().c_str());
-        return 1;
-      }
-      if (!open->status.ok()) {
-        PrintResponse(*open);
-        return 1;
-      }
+      auto open = Send(c, "OPEN " + args[1], transport_failed);
+      if (!open.has_value()) return 1;
+      if (!open->status.ok()) return Finish(*open);
       const std::string id = open->ok_payload;
-      auto push =
-          c.Request("PUSH " + id + " " + LineProtocol::Escape(document));
-      if (!push.ok()) {
-        *transport_failed = true;
-        std::fprintf(stderr, "xsqctl: %s\n",
-                     push.status().ToString().c_str());
-        return 1;
-      }
+      auto push = Send(c, "PUSH " + id + " " + LineProtocol::Escape(document),
+                       transport_failed);
+      if (!push.has_value()) return 1;
       if (!push->status.ok()) {
         std::fprintf(stderr, "xsqctl: PUSH failed\n");
         return 1;
       }
-      auto close = c.Request("CLOSE " + id);
-      if (!close.ok()) {
-        *transport_failed = true;
-        std::fprintf(stderr, "xsqctl: %s\n",
-                     close.status().ToString().c_str());
-        return 1;
-      }
-      PrintResponse(*close);
-      return close->status.ok() ? 0 : 1;
+      auto close = Send(c, "CLOSE " + id, transport_failed);
+      return close.has_value() ? Finish(*close) : 1;
     });
   }
   return Usage();

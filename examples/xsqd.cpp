@@ -70,10 +70,12 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "net/client.h"
 #include "net/line_protocol.h"
 #include "net/server.h"
 #include "service/query_service.h"
@@ -170,9 +172,15 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--cancel-check-events", 0) == 0) {
       config.cancel_check_events = static_cast<uint32_t>(
           FlagValue(arg, config.cancel_check_events));
-    } else if (arg.rfind("--listen", 0) == 0) {
+    } else if (arg.rfind("--listen=", 0) == 0) {
+      std::optional<uint16_t> port = xsq::net::ParseListenPort(arg.substr(9));
+      if (!port.has_value()) {
+        std::fprintf(stderr, "usage: xsqd [--listen=PORT] [flags]; PORT is "
+                             "1-65535, or 0 for any free port\n");
+        return 2;
+      }
       listen = true;
-      net_config.port = static_cast<uint16_t>(FlagValue(arg, 0));
+      net_config.port = *port;
     } else if (arg.rfind("--max-connections", 0) == 0) {
       net_config.max_connections =
           FlagValue(arg, net_config.max_connections);

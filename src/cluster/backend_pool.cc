@@ -16,7 +16,7 @@ const char* ShardHealthName(ShardHealth health) {
   return "unknown";
 }
 
-Backend::Backend(ShardAddress address, BackendConfig config,
+Backend::Backend(net::Endpoint address, BackendConfig config,
                  obs::Histogram* latency_us)
     : address_(std::move(address)),
       config_(config),
@@ -24,8 +24,7 @@ Backend::Backend(ShardAddress address, BackendConfig config,
 
 net::ClientConfig Backend::MakeClientConfig() const {
   net::ClientConfig client;
-  client.host = address_.host;
-  client.port = address_.port;
+  client.endpoints = {address_};
   client.connect_timeout_ms = config_.connect_timeout_ms;
   client.request_timeout_ms = config_.request_timeout_ms;
   client.max_retries = config_.client_max_retries;
@@ -41,8 +40,7 @@ std::unique_ptr<net::Client> Backend::AcquireLocked(
     if (now < open_until_ || half_open_probe_) {
       breaker_rejects_.fetch_add(1, std::memory_order_relaxed);
       *error = Status::ResourceExhausted(
-          "circuit open to shard " + address_.host + ":" +
-          std::to_string(address_.port) + "; cooling down");
+          "circuit open to shard " + address_.ToString() + "; cooling down");
       return nullptr;
     }
     half_open_probe_ = true;
@@ -65,8 +63,7 @@ std::unique_ptr<net::Client> Backend::AcquireLocked(
       [this] { return !idle_.empty(); });
   if (!got) {
     *error = Status::ResourceExhausted(
-        "backend pool exhausted for shard " + address_.host + ":" +
-        std::to_string(address_.port));
+        "backend pool exhausted for shard " + address_.ToString());
     return nullptr;
   }
   std::unique_ptr<net::Client> client = std::move(idle_.back());

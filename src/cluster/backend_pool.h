@@ -46,11 +46,6 @@
 
 namespace xsq::cluster {
 
-struct ShardAddress {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
 // What a new protocol request would experience on the shard, as
 // reported by its /healthz endpoint.
 enum class ShardHealth {
@@ -80,7 +75,7 @@ struct BackendConfig {
 class Backend {
  public:
   // `latency_us` (optional) records each pooled request's wall time.
-  Backend(ShardAddress address, BackendConfig config,
+  Backend(net::Endpoint address, BackendConfig config,
           obs::Histogram* latency_us = nullptr);
 
   Backend(const Backend&) = delete;
@@ -97,7 +92,7 @@ class Backend {
   // in-flight requests, not idle open sockets.
   Result<std::unique_ptr<net::Client>> LeaseExclusive();
 
-  const ShardAddress& address() const { return address_; }
+  const net::Endpoint& address() const { return address_; }
 
   ShardHealth health() const {
     return static_cast<ShardHealth>(health_.load(std::memory_order_relaxed));
@@ -133,7 +128,7 @@ class Backend {
   net::ClientConfig MakeClientConfig() const;
   void RecordOutcome(bool transport_ok);
 
-  const ShardAddress address_;
+  const net::Endpoint address_;
   const BackendConfig config_;
   obs::Histogram* latency_us_;
 

@@ -226,7 +226,7 @@ GossipAgent::GossipAgent(std::vector<Backend*> backends,
   for (size_t i = 0; i < backends_.size(); ++i) {
     digest_.shards[i] = {0, backends_[i]->health()};
   }
-  for (const ShardAddress& peer : config_.peers) AddPeer(peer);
+  for (const net::Endpoint& peer : config_.peers) AddPeer(peer);
 }
 
 GossipAgent::~GossipAgent() { Stop(); }
@@ -247,7 +247,7 @@ void GossipAgent::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-void GossipAgent::AddPeer(const ShardAddress& peer) {
+void GossipAgent::AddPeer(const net::Endpoint& peer) {
   std::lock_guard<std::mutex> lock(peers_mu_);
   auto entry = std::make_unique<Peer>();
   entry->address = peer;
@@ -288,8 +288,8 @@ void GossipAgent::NoteKey(std::string_view key) {
     // A live re-RECORD is a no-op: the entry already says what the
     // cluster needs to know, and skipping the bump keeps digests stable.
   }
-  // Keep the replication plane's key universe in step with the digest
-  // (set insert is idempotent, so the router's own rf>=2 call is fine).
+  // Keep the replication plane's key universe in step with the digest:
+  // with gossip on, Router::IndexKey writes the key index only here.
   replicator_->NoteKey(key);
 }
 
@@ -367,8 +367,7 @@ void GossipAgent::ExchangeNow() {
       peer = peers_[i].get();
       if (peer->client == nullptr) {
         net::ClientConfig client_config;
-        client_config.host = peer->address.host;
-        client_config.port = peer->address.port;
+        client_config.endpoints = {peer->address};
         client_config.connect_timeout_ms = config_.connect_timeout_ms;
         client_config.request_timeout_ms = config_.request_timeout_ms;
         client_config.max_retries = 0;  // the next round is the retry

@@ -112,7 +112,7 @@ struct GossipConfig {
   // Peers present implies enabled.
   bool enable = false;
   // Fellow routers' protocol addresses (the same port clients use).
-  std::vector<ShardAddress> peers;
+  std::vector<net::Endpoint> peers;
   // Anti-entropy exchange cadence; jittered ±20% per round so a fleet
   // of routers never synchronizes into an exchange storm.
   uint64_t interval_ms = 500;
@@ -147,7 +147,7 @@ class GossipAgent {
 
   // Extends the peer roster at runtime (benches learn peer ports after
   // both routers are listening).
-  void AddPeer(const ShardAddress& peer);
+  void AddPeer(const net::Endpoint& peer);
   size_t peer_count() const;
 
   // The health prober's write path when gossip is on: a locally
@@ -186,7 +186,7 @@ class GossipAgent {
 
  private:
   struct Peer {
-    ShardAddress address;
+    net::Endpoint address;
     std::unique_ptr<net::Client> client;
     int consecutive_failures = 0;
     bool down = false;
@@ -213,7 +213,7 @@ class GossipAgent {
   std::condition_variable loop_cv_;
   bool stopping_ = false;
   std::thread thread_;
-  uint64_t jitter_state_;
+  SplitMix64 jitter_state_;
 
   std::atomic<uint64_t> rounds_{0};
   std::atomic<uint64_t> merges_{0};

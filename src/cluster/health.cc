@@ -1,126 +1,10 @@
 #include "cluster/health.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "net/client.h"
 
 namespace xsq::cluster {
-
-namespace {
-
-struct FdCloser {
-  int fd;
-  ~FdCloser() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-}  // namespace
-
-Result<HttpProbeResult> HttpGet(const ShardAddress& address,
-                                std::string_view path, uint64_t timeout_ms) {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  FdCloser closer{fd};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(address.port);
-  if (::inet_pton(AF_INET, address.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad probe host: " + address.host);
-  }
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    return Status::ResourceExhausted(std::string("connect: ") +
-                                     std::strerror(errno));
-  }
-  if (rc != 0) {
-    pollfd pfd{fd, POLLOUT, 0};
-    int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    if (ready <= 0) return Status::DeadlineExceeded("probe connect timed out");
-    int err = 0;
-    socklen_t len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
-      return Status::ResourceExhausted(std::string("connect: ") +
-                                       std::strerror(err));
-    }
-  }
-  std::string request = "GET ";
-  request.append(path);
-  request += " HTTP/1.0\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        if (std::chrono::steady_clock::now() >= deadline) {
-          return Status::DeadlineExceeded("probe send timed out");
-        }
-        pollfd pfd{fd, POLLOUT, 0};
-        ::poll(&pfd, 1, 10);
-        continue;
-      }
-      return Status::ResourceExhausted(std::string("send: ") +
-                                       std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  // HTTP/1.0 with Connection: close — read to EOF under the deadline.
-  std::string raw;
-  for (;;) {
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      return Status::DeadlineExceeded("probe read timed out");
-    }
-    auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    pollfd pfd{fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, static_cast<int>(remaining.count()) + 1);
-    if (ready < 0 && errno != EINTR) {
-      return Status::Internal(std::string("poll: ") + std::strerror(errno));
-    }
-    if (ready <= 0) continue;
-    char buf[16 * 1024];
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) break;  // EOF: response complete
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      return Status::ResourceExhausted(std::string("recv: ") +
-                                       std::strerror(errno));
-    }
-    raw.append(buf, static_cast<size_t>(n));
-  }
-  // "HTTP/1.0 <code> <reason>\r\n<headers>\r\n\r\n<body>"
-  size_t space = raw.find(' ');
-  if (raw.rfind("HTTP/", 0) != 0 || space == std::string::npos) {
-    return Status::ParseError("not an HTTP response");
-  }
-  HttpProbeResult result;
-  result.code = 0;
-  for (size_t i = space + 1; i < raw.size() && raw[i] >= '0' && raw[i] <= '9';
-       ++i) {
-    result.code = result.code * 10 + (raw[i] - '0');
-  }
-  if (result.code == 0) return Status::ParseError("bad HTTP status line");
-  size_t body = raw.find("\r\n\r\n");
-  result.body = body == std::string::npos ? std::string()
-                                          : raw.substr(body + 4);
-  return result;
-}
 
 HealthProber::HealthProber(std::vector<Backend*> backends, ProbeConfig config)
     : backends_(std::move(backends)),
@@ -158,8 +42,8 @@ void HealthProber::Apply(size_t i, ShardHealth health) {
 
 void HealthProber::ProbeShard(size_t i) {
   Backend* backend = backends_[i];
-  Result<HttpProbeResult> probe =
-      HttpGet(backend->address(), "/healthz", config_.timeout_ms);
+  Result<net::HttpResponse> probe =
+      net::HttpGet(backend->address(), "/healthz", config_.timeout_ms);
   if (!probe.ok()) {
     consecutive_successes_[i] = 0;
     if (++consecutive_failures_[i] >= config_.fail_threshold) {
@@ -190,8 +74,8 @@ void HealthProber::ProbeShard(size_t i) {
   consecutive_successes_[i] = 0;
   Apply(i, observed);
   if (config_.scrape_metrics) {
-    Result<HttpProbeResult> metrics =
-        HttpGet(backend->address(), "/metrics", config_.timeout_ms);
+    Result<net::HttpResponse> metrics =
+        net::HttpGet(backend->address(), "/metrics", config_.timeout_ms);
     if (metrics.ok() && metrics->code == 200) {
       std::lock_guard<std::mutex> lock(mu_);
       last_metrics_[i] = std::move(metrics->body);

@@ -1,6 +1,7 @@
 // HealthProber: active health checking for the shard roster.
 //
-// A background thread polls every shard's GET /healthz on a jittered
+// A background thread polls every shard's GET /healthz (net::HttpGet,
+// over the same socket helpers as net::Client) on a jittered
 // cadence (±20% of interval_ms, so several routers probing the same
 // shards decorrelate instead of storming them in lockstep) and flips
 // the Backend health flag the router routes by:
@@ -49,14 +50,6 @@
 #include "common/status.h"
 
 namespace xsq::cluster {
-
-// A one-shot HTTP/1.0 GET, used for /healthz and /metrics probes.
-struct HttpProbeResult {
-  int code = 0;
-  std::string body;
-};
-Result<HttpProbeResult> HttpGet(const ShardAddress& address,
-                                std::string_view path, uint64_t timeout_ms);
 
 struct ProbeConfig {
   uint64_t interval_ms = 500;
@@ -130,7 +123,7 @@ class HealthProber {
   std::vector<bool> last_alive_;            // guarded by probe_mu_
   std::function<void(bool)> on_pass_;       // set before Start()
   std::function<void(size_t, ShardHealth)> apply_;  // set before Start()
-  uint64_t jitter_state_;                   // loop thread only
+  SplitMix64 jitter_state_;                 // loop thread only
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

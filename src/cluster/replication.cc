@@ -71,14 +71,9 @@ void Replicator::EnqueueFanout(std::string_view key, size_t target,
 }
 
 void Replicator::EnqueueRepair(std::string_view key, size_t target,
-                               const ShardAddress& source) {
-  std::string line = "REPLPULL ";
-  line.append(key);
-  line += ' ';
-  line += source.host;
-  line += ':';
-  line += std::to_string(source.port);
-  EnqueueJob(key, target, std::move(line));
+                               const net::Endpoint& source) {
+  EnqueueJob(key, target,
+             "REPLPULL " + std::string(key) + " " + source.ToString());
 }
 
 void Replicator::EnqueueJob(std::string_view key, size_t target,

@@ -109,7 +109,7 @@ class Replicator {
                      std::string_view record_line);
   // Tell shard `target` to pull `key`'s tape from `source`.
   void EnqueueRepair(std::string_view key, size_t target,
-                     const ShardAddress& source);
+                     const net::Endpoint& source);
 
   // --- anti-entropy ---------------------------------------------------
   // Asynchronous: the sweep thread runs SweepNow soon. Cheap enough to

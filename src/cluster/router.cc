@@ -395,11 +395,7 @@ bool RouterHandler::HandleLine(std::string_view input, std::string* out) {
         break;
       }
       if (response->status.ok()) {
-        router_->replicator()->NoteKey(name);
-        // Peer routers learn the key through the digest, so any of
-        // them can sweep/repair it even if this router dies before
-        // the next inventory scan.
-        if (router_->gossip() != nullptr) router_->gossip()->NoteKey(name);
+        router_->IndexKey(name, /*recorded=*/true);
         if (router_->replication_factor() >= 2) {
           std::vector<size_t> owners = router_->shard_map().Owners(
               name, router_->replication_factor(), router_->AliveMask());
@@ -415,53 +411,41 @@ bool RouterHandler::HandleLine(std::string_view input, std::string* out) {
     case net::Verb::kEvict: {
       std::string_view name = net::TakeDocumentName(&rest, out);
       if (name.empty()) break;
-      if (router_->replication_factor() >= 2) {
-        // Every live owner may hold a copy; evict them all and relay the
-        // first definitive answer (a miss everywhere relays the miss).
-        std::vector<size_t> owners = router_->shard_map().Owners(
-            name, router_->replication_factor(), router_->AliveMask());
-        if (owners.empty()) {
-          Reply(out, "ERR ResourceExhausted: no live shards");
-          break;
-        }
-        router_->replicator()->ForgetKey(name);
-        if (router_->gossip() != nullptr) router_->gossip()->ForgetKey(name);
-        std::optional<net::Response> best;
-        Status transport = Status::OK();
-        for (size_t owner : owners) {
-          Result<net::Response> response =
-              router_->backend(owner)->Request(input);
-          if (!response.ok()) {
-            transport = response.status();
-            continue;
-          }
-          if (!best.has_value() ||
-              (!best->status.ok() && response->status.ok())) {
-            best = std::move(*response);
-          }
-        }
-        if (best.has_value()) {
-          RelayReply(out, *best);
-        } else {
-          ReplyStatus(out, transport);
-        }
-      } else {
-        // Non-idempotent: one attempt at the current owner, no failover.
-        std::optional<size_t> owner = router_->OwnerOf(name);
-        if (!owner.has_value()) {
-          Reply(out, "ERR ResourceExhausted: no live shards");
-          break;
-        }
+      // Every live owner may hold a copy (one owner at rf=1): evict
+      // them all and relay the first definitive answer (a miss
+      // everywhere relays the miss). Non-idempotent: no failover.
+      std::vector<size_t> owners = router_->shard_map().Owners(
+          name, router_->replication_factor(), router_->AliveMask());
+      if (owners.empty()) {
+        Reply(out, "ERR ResourceExhausted: no live shards");
+        break;
+      }
+      std::optional<net::Response> best;
+      Status transport = Status::OK();
+      bool forgotten = false;
+      for (size_t owner : owners) {
         Result<net::Response> response =
-            router_->backend(*owner)->Request(input);
+            router_->backend(owner)->Request(input);
         if (!response.ok()) {
-          ReplyStatus(out, response.status());
-          break;
+          transport = response.status();
+          continue;
         }
-        if (response->status.ok() && router_->gossip() != nullptr) {
-          router_->gossip()->ForgetKey(name);
+        // A shard answered for the key, evicted or already missing:
+        // the index forgets it, once.
+        if (!forgotten && (response->status.ok() ||
+                           response->status.code() == StatusCode::kNotFound)) {
+          router_->IndexKey(name, /*recorded=*/false);
+          forgotten = true;
         }
-        RelayReply(out, *response);
+        if (!best.has_value() ||
+            (!best->status.ok() && response->status.ok())) {
+          best = std::move(*response);
+        }
+      }
+      if (best.has_value()) {
+        RelayReply(out, *best);
+      } else {
+        ReplyStatus(out, transport);
       }
       break;
     }
@@ -640,6 +624,22 @@ std::optional<size_t> Router::OwnerOf(std::string_view key) const {
   return map_.Owner(key, AliveMask());
 }
 
+void Router::IndexKey(std::string_view key, bool recorded) {
+  // The gossip agent forwards to the replicator, so with gossip on
+  // this one call updates both.
+  if (gossip_ != nullptr) {
+    if (recorded) {
+      gossip_->NoteKey(key);
+    } else {
+      gossip_->ForgetKey(key);
+    }
+  } else if (recorded) {
+    replicator_->NoteKey(key);
+  } else {
+    replicator_->ForgetKey(key);
+  }
+}
+
 Result<net::Response> Router::OwnerRequest(std::string_view key,
                                            std::string_view line,
                                            size_t* shard_out) {
@@ -710,17 +710,19 @@ obs::Exposition Router::ClusterMetrics() {
 }
 
 std::string Router::MetricsText() {
-  std::string out = ClusterMetrics().Render();
-  // The router's own section, distinct xsq_router_* names so the
-  // merged shard families above never collide.
+  obs::Exposition doc = ClusterMetrics();
+  // The router's own section after the merged shard families, under
+  // distinct xsq_router_* names so the two never collide.
   OwnCounters own = own_counters();
-#define XSQ_ROUTER_RENDER(field, kind)                       \
-  obs::Registry::AppendScalar(&out, "xsq_router_" #field,    \
-                              obs::ScalarKind::kind, own.field);
+#define XSQ_ROUTER_RENDER(field, kind) \
+  doc.AddScalar("xsq_router_" #field, obs::ScalarKind::kind, own.field);
   XSQ_ROUTER_SCALARS(XSQ_ROUTER_RENDER)
 #undef XSQ_ROUTER_RENDER
-  out += registry_.RenderText();
-  return out;
+  obs::Exposition histograms = registry_.Snapshot();
+  for (const obs::ExpositionSeries& series : histograms.series()) {
+    doc.Add(series);
+  }
+  return doc.Render();
 }
 
 uint64_t Router::RegisterSession(std::string query, size_t shard,

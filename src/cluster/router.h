@@ -130,7 +130,7 @@ enum class RouterScalar {
 };
 
 struct RouterConfig {
-  std::vector<ShardAddress> shards;
+  std::vector<net::Endpoint> shards;
   size_t vnodes = 64;
   BackendConfig backend;
   ProbeConfig probe;
@@ -196,6 +196,11 @@ class Router {
   Result<net::Response> OwnerRequest(std::string_view key,
                                      std::string_view line,
                                      size_t* shard_out = nullptr);
+
+  // Notes a recorded key (or forgets an evicted one) in the router's
+  // key index: through the gossip digest when gossip is on, so peer
+  // routers learn it too, else in the replicator alone.
+  void IndexKey(std::string_view key, bool recorded);
 
   // --- scatter-gather -------------------------------------------------
   service::StatsSnapshot ClusterStats();

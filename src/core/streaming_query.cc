@@ -288,7 +288,7 @@ void StreamingQuery::Reset() {
   parser_->set_handler(engine_.get());
   engine_->Reset();
   sink_.items.clear();
-  sink_.aggregate_updates.clear();
+  sink_.latest_aggregate.reset();
   sink_.aggregate.reset();
   next_item_ = 0;
   closed_ = false;

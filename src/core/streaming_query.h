@@ -23,11 +23,11 @@
 #define XSQ_CORE_STREAMING_QUERY_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "core/cancel_token.h"
@@ -141,9 +141,7 @@ class StreamingQuery {
   // For aggregation queries: the latest running value (updated as the
   // stream progresses), and the final value after Close().
   std::optional<double> current_aggregate() const {
-    return sink_.aggregate_updates.empty()
-               ? std::optional<double>()
-               : std::optional<double>(sink_.aggregate_updates.back());
+    return sink_.latest_aggregate;
   }
   std::optional<double> final_aggregate() const { return sink_.aggregate; }
 
@@ -163,10 +161,25 @@ class StreamingQuery {
  private:
   class PhaseShim;  // sampled SaxHandler timing wrapper
 
+  // Every item until NextItem hands it out, but of the running
+  // aggregate only the latest value: an aggregation over N matches
+  // holds one double, not N.
+  struct Sink : ResultSink {
+    void OnItem(std::string_view value) override { items.emplace_back(value); }
+    void OnAggregateUpdate(double value) override { latest_aggregate = value; }
+    void OnAggregateFinal(std::optional<double> value) override {
+      aggregate = value;
+    }
+
+    std::vector<std::string> items;
+    std::optional<double> latest_aggregate;
+    std::optional<double> aggregate;
+  };
+
   explicit StreamingQuery(std::shared_ptr<const CompiledPlan> plan);
 
   std::shared_ptr<const CompiledPlan> plan_;
-  CollectingSink sink_;
+  Sink sink_;
   size_t next_item_ = 0;  // items before this index were handed out
   // XSQ-NC when the plan is deterministic, else XSQ-F.
   std::unique_ptr<StreamingEngine> engine_;

@@ -32,25 +32,52 @@
 // session affinity.
 //
 // Not thread safe; one Client per conversation, like one socket.
+//
+// This file is the tree's only outbound TCP code: Client serves the
+// router's pooled requests and session leases, gossip, REPLPULL and
+// xsqctl, and HttpGet serves the health prober's HTTP probes. Both run
+// on one set of socket helpers (connect within a timeout, send and
+// receive before a deadline). Addresses are parsed here too.
 #ifndef XSQ_NET_CLIENT_H_
 #define XSQ_NET_CLIENT_H_
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 #include "net/verbs.h"
 
 namespace xsq::net {
 
-// One HOST:PORT target for multi-endpoint failover.
+// One HOST:PORT address: a daemon to connect to, a shard, a gossip
+// peer, a replication source. The only address type in the tree.
 struct Endpoint {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
+
+  // "HOST:PORT", the form ParseEndpoint reads back.
+  std::string ToString() const;
 };
+
+// The one port parser: decimal digits only, in [1, 65535]. A sign,
+// a space, 0 or a value above 65535 is nullopt, never a wrapped port.
+std::optional<uint16_t> ParsePort(std::string_view text);
+
+// A port to listen on: "0" (the kernel picks a free one) or ParsePort.
+std::optional<uint16_t> ParseListenPort(std::string_view text);
+
+// The one HOST:PORT parser: a non-empty host, then ParsePort after
+// the last colon.
+std::optional<Endpoint> ParseEndpoint(std::string_view spec);
+
+// "HOST:PORT[,HOST:PORT...]": every entry by ParseEndpoint. Nullopt
+// when the list is empty or any entry is malformed.
+std::optional<std::vector<Endpoint>> ParseEndpoints(std::string_view list);
 
 struct ClientConfig {
   std::string host = "127.0.0.1";
@@ -105,6 +132,13 @@ class Client {
   // as the Result's status (after retries when the verb allows them).
   Result<Response> Request(std::string_view line);
 
+  // Reads the next line (newline and any '\r' stripped) by `deadline`:
+  // Request's own reply reader, public for lines that arrive outside a
+  // reply block, such as the EVENT frames pushed to a subscriber. A
+  // closed connection is ResourceExhausted.
+  Status ReadLine(std::string* line,
+                  std::chrono::steady_clock::time_point deadline);
+
   // The retry class of `line`'s verb (the word before the first
   // space), from the verb table. Unknown verbs classify as
   // kNonIdempotent: a server newer than this client gets the
@@ -122,16 +156,17 @@ class Client {
   };
   const Counters& counters() const { return counters_; }
 
-  // The endpoint the next connect will target (index into the resolved
-  // endpoint list; a single-endpoint client always reports 0).
+  // The endpoint the next connect will target: config host/port, or
+  // the current entry of the failover list.
+  const Endpoint& endpoint() const { return endpoints_[endpoint_index_]; }
+  // Its index in the resolved endpoint list (a single-endpoint client
+  // always reports 0).
   size_t endpoint_index() const { return endpoint_index_; }
   size_t endpoint_count() const { return endpoints_.size(); }
 
  private:
   Status ConnectOnce();
   Result<Response> RequestOnce(std::string_view line);
-  Status ReadLine(std::string* line,
-                  std::chrono::steady_clock::time_point deadline);
   uint64_t NextBackoffMs(int attempt);
   void AdvanceEndpoint();
 
@@ -139,17 +174,32 @@ class Client {
   std::vector<Endpoint> endpoints_;  // resolved: config endpoints or host/port
   size_t endpoint_index_ = 0;
   int fd_ = -1;
+  // Received bytes; lines before read_offset_ are consumed. The
+  // consumed prefix is dropped once per recv, not once per line.
   std::string read_buffer_;
-  uint64_t rng_state_;
+  size_t read_offset_ = 0;
+  SplitMix64 rng_;  // backoff jitter
   Counters counters_;
 };
+
+// One HTTP/1.0 response.
+struct HttpResponse {
+  int code = 0;
+  std::string body;
+};
+
+// A one-shot HTTP/1.0 GET of `path` (a shard's /healthz or /metrics),
+// from connect to the server's close within `timeout_ms`, over the
+// same socket helpers Client uses.
+Result<HttpResponse> HttpGet(const Endpoint& endpoint, std::string_view path,
+                             uint64_t timeout_ms);
 
 // A jittered interval in [0.8 * base_ms, 1.2 * base_ms), driven by the
 // same deterministic splitmix64 stream the retry backoff uses. Shared
 // by the periodic loops that must not synchronize across processes —
 // health probing, gossip anti-entropy — so a fleet of routers probing
 // the same shards decorrelates instead of storming them in lockstep.
-uint64_t JitterIntervalMs(uint64_t base_ms, uint64_t* rng_state);
+uint64_t JitterIntervalMs(uint64_t base_ms, SplitMix64* rng);
 
 }  // namespace xsq::net
 

@@ -1,6 +1,5 @@
 #include "net/line_protocol.h"
 
-#include <cstdlib>
 #include <optional>
 #include <vector>
 
@@ -13,22 +12,6 @@ namespace xsq::net {
 namespace {
 
 using service::SessionId;
-
-// "127.0.0.1:9101" -> host/port. False on a malformed or zero port.
-bool ParseHostPort(std::string_view spec, std::string* host,
-                   uint16_t* port) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string_view::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return false;
-  }
-  unsigned long value =
-      std::strtoul(std::string(spec.substr(colon + 1)).c_str(), nullptr, 10);
-  if (value == 0 || value > 65535) return false;
-  host->assign(spec.substr(0, colon));
-  *port = static_cast<uint16_t>(value);
-  return true;
-}
 
 // "OK <events> <bytes>": the reply to a verb that stored or sent a tape.
 std::string TapeOk(const tape::Tape& tape) {
@@ -227,12 +210,14 @@ bool LineProtocol::HandleLine(std::string_view input, std::string* out) {
         // bounded by the transfer deadline and the tape byte cap. The cap
         // is checked before IngestTape touches the cache, so an oversized
         // transfer fails clean — never a half-installed tape.
-        ClientConfig peer;
-        if (!ParseHostPort(source, &peer.host, &peer.port)) {
+        std::optional<Endpoint> source_endpoint = ParseEndpoint(source);
+        if (!source_endpoint.has_value()) {
           Reply(out, "ERR InvalidArgument: bad replication source '" +
                          std::string(source) + "' (want HOST:PORT)");
         } else {
           const size_t max_tape = service_->config().max_tape_bytes;
+          ClientConfig peer;
+          peer.endpoints = {*std::move(source_endpoint)};
           peer.max_retries = 1;  // REPLPULL is idempotent by key
           peer.request_timeout_ms = service_->config().replpull_deadline_ms;
           peer.connect_timeout_ms = service_->config().replpull_deadline_ms;

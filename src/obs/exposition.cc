@@ -278,6 +278,19 @@ Result<Exposition> Exposition::Parse(std::string_view text) {
   return doc;
 }
 
+void Exposition::Add(ExpositionSeries series) {
+  series_.push_back(std::move(series));
+}
+
+void Exposition::AddScalar(std::string_view name, ScalarKind kind,
+                           uint64_t value) {
+  ExpositionSeries series;
+  series.name.assign(name);
+  series.type = kind == ScalarKind::kCounter ? "counter" : "gauge";
+  series.value = value;
+  series_.push_back(std::move(series));
+}
+
 void Exposition::MergeFrom(const Exposition& other, ScalarRule rule) {
   for (const ExpositionSeries& theirs : other.series_) {
     ExpositionSeries* mine = nullptr;

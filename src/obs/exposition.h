@@ -1,27 +1,34 @@
-// Exposition: parse the Prometheus text format Registry renders, merge
-// parsed snapshots across processes, and re-render byte-identically.
+// Exposition: the METRICS text format, written in one place. Render()
+// is its only writer; a process renders one document built from
+// Registry::Snapshot() (the histograms) plus AddScalar() rows. Parse()
+// is the inverse, and MergeFrom() folds a router's parsed shard
+// documents keyed by (name, labels): buckets, sums and counts add, max
+// takes the max, scalars fold by the caller's rule.
 //
-// This is the inverse of Registry::RenderText / Registry::AppendScalar,
-// built for the cluster tier: a router scrapes each shard's METRICS
-// (or GET /metrics), parses the text back into histogram snapshots and
-// scalar values, merges them keyed by (name, labels) — buckets, sums
-// and counts add; max takes the max; scalars fold by the caller's
-// rule — and renders one merged exposition for the whole cluster.
+// Per histogram <name> (microseconds by convention, hence the _us
+// suffix), Render() writes:
 //
-// Round-trip guarantee: for text produced by this repo's renderers,
-// Render(Parse(text)) == text, byte for byte. That holds because the
-// renderer is deterministic from the parsed state:
-//   - histogram buckets are emitted cumulatively from bucket 0 through
-//     the highest non-zero bucket, and each rendered upper bound
-//     (0, 2^i - 1, +Inf) maps back to exactly one bucket index;
-//   - the _p50/_p95/_p99 convenience lines are NOT stored at parse
-//     time — they are recomputed from the buckets at render, exactly
-//     as Registry::RenderText computes them (%.1f of the same
-//     deterministic interpolation);
-//   - scalars render as the same "# TYPE" + "name value" pair.
-// Comment lines other than # HELP / # TYPE (e.g. exemplars from a
-// foreign exposition) are skipped by the parser and therefore do NOT
-// round-trip; everything this repo emits does.
+//   # HELP <name> <help>
+//   # TYPE <name> histogram
+//   <name>_bucket{le="<bound>"} <cumulative count>   (non-empty prefix)
+//   <name>_bucket{le="+Inf"} <count>
+//   <name>_sum <sum>
+//   <name>_count <count>
+//   <name>_p50 / _p95 / _p99 <interpolated quantile>
+//   <name>_max <max>
+//
+// The quantile lines go beyond strict Prometheus exposition (which
+// leaves quantiles to the scraper) so `xsqd` METRICS is self-contained
+// for shell consumers. A scalar is "# TYPE <name> counter|gauge" then
+// "<name> <value>".
+//
+// Round trip: Render(Parse(text)) == text, byte for byte, for any text
+// Render wrote. Buckets are emitted cumulatively from bucket 0 through
+// the highest non-empty one, each bound (0, 2^i - 1, +Inf) maps back to
+// one bucket index, and the quantile lines are recomputed from the
+// buckets rather than stored. Comment lines other than # HELP / # TYPE
+// (e.g. exemplars appended after the document) are skipped by the
+// parser and do not round-trip.
 #ifndef XSQ_OBS_EXPOSITION_H_
 #define XSQ_OBS_EXPOSITION_H_
 
@@ -34,6 +41,9 @@
 #include "obs/histogram.h"
 
 namespace xsq::obs {
+
+// The exposition type of a scalar series.
+enum class ScalarKind { kCounter, kGauge };
 
 // How a scalar series folds across processes: summed (counters, and
 // gauges whose cluster-wide value is the total over processes) or
@@ -53,13 +63,20 @@ struct ExpositionSeries {
 };
 
 // An ordered exposition document. Order is first-seen (registration
-// order for Registry output), preserved across Merge so a stable
-// shard set renders a stable merged document.
+// order for a Registry snapshot, then the order of Add calls),
+// preserved across Merge so a stable shard set renders a stable merged
+// document.
 class Exposition {
  public:
   // Parses renderer output. Returns ParseError on a malformed data
   // line; unknown comment lines are skipped.
   static Result<Exposition> Parse(std::string_view text);
+
+  // Appends `series` after the others, unmerged. Consecutive series of
+  // one name render under one # HELP/# TYPE header.
+  void Add(ExpositionSeries series);
+  // Appends an unlabeled counter or gauge.
+  void AddScalar(std::string_view name, ScalarKind kind, uint64_t value);
 
   // Folds `other` into this document. Series are keyed by
   // (name, labels): histograms merge bucket-wise (counts, sums and
@@ -69,9 +86,8 @@ class Exposition {
   using ScalarRule = ScalarMerge (*)(std::string_view name);
   void MergeFrom(const Exposition& other, ScalarRule rule = nullptr);
 
-  // Renders the document in Registry's exact format (headers shared by
-  // consecutive same-name series, cumulative buckets, recomputed
-  // quantile lines).
+  // Renders the document (headers shared by consecutive same-name
+  // series, cumulative buckets, recomputed quantile lines).
   std::string Render() const;
 
   const std::vector<ExpositionSeries>& series() const { return series_; }

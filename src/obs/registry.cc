@@ -1,25 +1,6 @@
 #include "obs/registry.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace xsq::obs {
-
-namespace {
-
-void AppendUint(std::string* out, uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  *out += buf;
-}
-
-void AppendDouble(std::string* out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", value);
-  *out += buf;
-}
-
-}  // namespace
 
 Histogram* Registry::GetOrCreateHistogram(std::string_view name,
                                           std::string_view help,
@@ -49,77 +30,20 @@ const Histogram* Registry::FindHistogram(std::string_view name,
   return nullptr;
 }
 
-std::string Registry::RenderText() const {
+Exposition Registry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  const std::string* family = nullptr;  // name whose header was emitted
+  Exposition doc;
   for (const std::unique_ptr<Entry>& entry : entries_) {
-    Histogram::Snapshot snap = entry->histogram.snapshot();
-    // One # HELP/# TYPE header per metric family: labeled series of one
-    // name are registered consecutively and share the header.
-    if (family == nullptr || *family != entry->name) {
-      if (!entry->help.empty()) {
-        out += "# HELP " + entry->name + " " + entry->help + "\n";
-      }
-      out += "# TYPE " + entry->name + " histogram\n";
-      family = &entry->name;
-    }
-    // `name_sum{engine="nc"}` for labeled series, `name_sum` otherwise.
-    const std::string suffix_labels =
-        entry->labels.empty() ? "" : "{" + entry->labels + "}";
-    // le joins any series labels inside one brace list.
-    const std::string le_prefix =
-        entry->labels.empty()
-            ? entry->name + "_bucket{le=\""
-            : entry->name + "_bucket{" + entry->labels + ",le=\"";
-
-    size_t highest = 0;
-    for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
-      if (snap.buckets[i] != 0) highest = i;
-    }
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i <= highest; ++i) {
-      cumulative += snap.buckets[i];
-      out += le_prefix;
-      AppendUint(&out, Histogram::BucketUpperBound(i));
-      out += "\"} ";
-      AppendUint(&out, cumulative);
-      out += '\n';
-    }
-    out += le_prefix + "+Inf\"} ";
-    AppendUint(&out, snap.count);
-    out += '\n';
-    out += entry->name + "_sum" + suffix_labels + " ";
-    AppendUint(&out, snap.sum);
-    out += '\n';
-    out += entry->name + "_count" + suffix_labels + " ";
-    AppendUint(&out, snap.count);
-    out += '\n';
-    out += entry->name + "_p50" + suffix_labels + " ";
-    AppendDouble(&out, snap.p50());
-    out += '\n';
-    out += entry->name + "_p95" + suffix_labels + " ";
-    AppendDouble(&out, snap.p95());
-    out += '\n';
-    out += entry->name + "_p99" + suffix_labels + " ";
-    AppendDouble(&out, snap.p99());
-    out += '\n';
-    out += entry->name + "_max" + suffix_labels + " ";
-    AppendUint(&out, snap.max);
-    out += '\n';
+    ExpositionSeries series;
+    series.name = entry->name;
+    series.help = entry->help;
+    series.type = "histogram";
+    series.labels = entry->labels;
+    series.is_histogram = true;
+    series.hist = entry->histogram.snapshot();
+    doc.Add(std::move(series));
   }
-  return out;
-}
-
-void Registry::AppendScalar(std::string* out, std::string_view name,
-                            ScalarKind kind, uint64_t value) {
-  *out += "# TYPE ";
-  out->append(name);
-  *out += kind == ScalarKind::kCounter ? " counter\n" : " gauge\n";
-  out->append(name);
-  *out += ' ';
-  AppendUint(out, value);
-  *out += '\n';
+  return doc;
 }
 
 }  // namespace xsq::obs

@@ -1,26 +1,15 @@
-// Registry: named histograms plus Prometheus-style text exposition.
+// Registry: named histograms, handed out as an exposition snapshot.
 //
 // The registry owns its histograms; GetOrCreateHistogram returns a
 // stable pointer that stays valid for the registry's lifetime, so hot
 // paths resolve a metric once at startup and then record lock-free.
-// The registry lock covers only registration and render iteration,
+// The registry lock covers only registration and snapshot iteration,
 // never Record().
 //
-// RenderText() emits, per histogram <name> (recorded in microseconds by
-// convention, reflected in the _us suffix the service layer uses):
-//
-//   # HELP <name> <help>
-//   # TYPE <name> histogram
-//   <name>_bucket{le="<bound>"} <cumulative count>   (non-empty prefix)
-//   <name>_bucket{le="+Inf"} <count>
-//   <name>_sum <sum>
-//   <name>_count <count>
-//   <name>_p50 / _p95 / _p99 <interpolated quantile>
-//   <name>_max <max>
-//
-// The quantile lines are a convenience beyond strict Prometheus
-// histogram exposition (which leaves quantiles to the scraper); they
-// make `xsqd` METRICS self-contained for shell consumers.
+// Snapshot() copies every histogram into an obs::Exposition, whose
+// Render() is the one writer of the METRICS text (see exposition.h
+// for the histogram block it writes). Callers add their scalar series
+// to the same document before rendering it.
 #ifndef XSQ_OBS_REGISTRY_H_
 #define XSQ_OBS_REGISTRY_H_
 
@@ -30,12 +19,10 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/exposition.h"
 #include "obs/histogram.h"
 
 namespace xsq::obs {
-
-// The exposition type of a scalar series.
-enum class ScalarKind { kCounter, kGauge };
 
 class Registry {
  public:
@@ -59,16 +46,10 @@ class Registry {
   const Histogram* FindHistogram(std::string_view name,
                                  std::string_view labels = "") const;
 
-  // Prometheus-style exposition of every registered histogram, in
+  // Every registered histogram as an exposition series, in
   // registration order. Thread-safe; concurrent Record()s may or may
   // not be included.
-  std::string RenderText() const;
-
-  // Renders one scalar metric line pair ("# TYPE" + value) in the same
-  // exposition format; used by callers that mix plain counters/gauges
-  // into the same METRICS payload.
-  static void AppendScalar(std::string* out, std::string_view name,
-                           ScalarKind kind, uint64_t value);
+  Exposition Snapshot() const;
 
  private:
   struct Entry {

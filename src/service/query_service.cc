@@ -639,11 +639,12 @@ StatsSnapshot QueryService::stats() const {
 }
 
 std::string QueryService::MetricsText() const {
-  std::string out = registry_.RenderText();
-  // The STATS counters re-exposed in the same format, `xsq_` prefixed,
-  // so one METRICS scrape reconciles histograms against lifetime
-  // counters and gauges.
-  stats().AppendMetrics(&out);
+  obs::Exposition doc = registry_.Snapshot();
+  // The STATS counters re-exposed in the same document, `xsq_`
+  // prefixed, so one METRICS scrape reconciles histograms against
+  // lifetime counters and gauges.
+  stats().AppendMetrics(&doc);
+  std::string out = doc.Render();
   exemplars_.RenderComments(&out);
   return out;
 }

@@ -75,16 +75,15 @@ void StatsSnapshot::Merge(const StatsSnapshot& other) {
   }
 }
 
-void StatsSnapshot::AppendMetrics(std::string* out) const {
+void StatsSnapshot::AppendMetrics(obs::Exposition* doc) const {
   // The per-phase hooks are always compiled in, so this reads 1; it
   // stays in the exposition so scrapers keyed on it keep working.
-  obs::Registry::AppendScalar(out, kObsEnabledMetric, obs::ScalarKind::kGauge,
-                              1);
+  doc->AddScalar(kObsEnabledMetric, obs::ScalarKind::kGauge, 1);
   std::string name(kMetricPrefix);
   for (const FieldSpec& spec : kFields) {
     name.resize(kMetricPrefix.size());
     name += spec.name;
-    obs::Registry::AppendScalar(out, name, spec.kind, this->*spec.field);
+    doc->AddScalar(name, spec.kind, this->*spec.field);
   }
 }
 

@@ -17,7 +17,6 @@
 
 #include "common/status.h"
 #include "obs/exposition.h"
-#include "obs/registry.h"
 
 // Every service counter, declared once. A row X(field, kind, merge)
 // makes the StatsSnapshot field `field` (also its STATS name), its
@@ -98,9 +97,10 @@ struct StatsSnapshot {
   // its row's merge rule.
   void Merge(const StatsSnapshot& other);
 
-  // Appends the METRICS scalars: xsq_obs_enabled (1 when the per-phase
-  // hooks were compiled in), then one xsq_<field> series per row.
-  void AppendMetrics(std::string* out) const;
+  // Adds the METRICS scalars to `doc`: xsq_obs_enabled (always 1: the
+  // per-phase hooks are always compiled in), then one xsq_<field>
+  // series per row.
+  void AppendMetrics(obs::Exposition* doc) const;
 };
 
 // How a router folds the METRICS scalar `name` across shards: the

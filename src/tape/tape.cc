@@ -208,7 +208,6 @@ bool Tape::Cursor::Next(EventView* out) {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'X', 'S', 'Q', 'T', 'A', 'P', 'E', '1'};
 constexpr char kMagicV2[8] = {'X', 'S', 'Q', 'T', 'A', 'P', 'E', '2'};
 
 // Little-endian CRC32C trailer appended after each v2 section.
@@ -307,29 +306,13 @@ Status Tape::Save(const std::string& path) const {
   return WriteFile(path, Serialize());
 }
 
-Status Tape::SaveLegacyV1(const std::string& path) const {
-  std::string image(kMagicV1, sizeof(kMagicV1));
-  image.append(SerializeHeaderBody());
-  image.append(reinterpret_cast<const char*>(records_.data()),
-               records_.size());
-  image.append(blob_);
-  return WriteFile(path, image);
-}
-
 Result<Tape> Tape::FromBytes(std::string data, const std::string& origin) {
   auto corrupt = [&origin](const char* what) {
     return Status::DataCorruption(std::string("corrupt tape file ") + origin +
                                   ": " + what);
   };
-  bool checksummed;
-  if (data.size() >= sizeof(kMagicV2) &&
-      data.compare(0, sizeof(kMagicV2), kMagicV2, sizeof(kMagicV2)) == 0) {
-    checksummed = true;
-  } else if (data.size() >= sizeof(kMagicV1) &&
-             data.compare(0, sizeof(kMagicV1), kMagicV1, sizeof(kMagicV1)) ==
-                 0) {
-    checksummed = false;  // legacy v1: no section checksums
-  } else {
+  if (data.size() < sizeof(kMagicV2) ||
+      data.compare(0, sizeof(kMagicV2), kMagicV2, sizeof(kMagicV2)) != 0) {
     return corrupt("bad magic");
   }
   size_t pos = sizeof(kMagicV2);
@@ -367,29 +350,23 @@ Result<Tape> Tape::FromBytes(std::string data, const std::string& origin) {
       !GetVarintString(data, &pos, &blob_size)) {
     return corrupt("section sizes");
   }
-  // The parsed header declares the section sizes; with checksums, every
-  // section is followed by its 4-byte CRC32C trailer.
-  const size_t trailer = checksummed ? 4 : 0;
+  // The parsed header declares the section sizes; every section is
+  // followed by its 4-byte CRC32C trailer.
   const size_t tail = data.size() - pos;  // bytes after the header body
-  if (record_size > tail || tail - record_size < 3 * trailer ||
-      blob_size != tail - record_size - 3 * trailer) {
+  if (record_size > tail || tail - record_size < 12 ||
+      blob_size != tail - record_size - 12) {
     return corrupt("section sizes");
   }
-  if (checksummed) {
-    uint32_t header_crc =
-        Crc32c(data.data() + header_begin, pos - header_begin);
-    if (header_crc != GetCrc(data.data() + pos)) {
-      return corrupt("header checksum mismatch");
-    }
-    pos += 4;
+  if (Crc32c(data.data() + header_begin, pos - header_begin) !=
+      GetCrc(data.data() + pos)) {
+    return corrupt("header checksum mismatch");
   }
-  const char* records = data.data() + pos;
-  if (checksummed &&
-      Crc32c(records, record_size) != GetCrc(records + record_size)) {
+  const char* records = data.data() + pos + 4;
+  if (Crc32c(records, record_size) != GetCrc(records + record_size)) {
     return corrupt("record section checksum mismatch");
   }
-  const char* blob = records + record_size + trailer;
-  if (checksummed && Crc32c(blob, blob_size) != GetCrc(blob + blob_size)) {
+  const char* blob = records + record_size + 4;
+  if (Crc32c(blob, blob_size) != GetCrc(blob + blob_size)) {
     return corrupt("blob section checksum mismatch");
   }
   tape.records_.assign(reinterpret_cast<const uint8_t*>(records),

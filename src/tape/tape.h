@@ -148,23 +148,21 @@ class Tape {
   // with a 4-byte little-endian CRC32C trailer after each of the three
   // sections. CRC32C detects every single-bit error, so Load rejects
   // any tape a storage layer flipped a bit in — verified exhaustively
-  // in tests. v1 tapes ("XSQTAPE1", no checksums) still load.
+  // in tests. The checksum-free v1 layout ("XSQTAPE1") no longer
+  // loads: it fails with kDataCorruption (bad magic), like any other
+  // foreign image.
 
   // The complete v2 byte image (what Save writes).
   std::string Serialize() const;
   Status Save(const std::string& path) const;
 
-  // Parses and fully validates a serialized tape (either version):
-  // magic, per-section checksums (v2), symbol ids, payload spans,
+  // Parses and fully validates a serialized v2 tape: magic,
+  // per-section checksums, symbol ids, payload spans,
   // depth/nesting sanity — so replay never needs to re-validate.
   // `origin` names the source (a path, "<memory>") in error messages.
   // Corruption fails with StatusCode::kDataCorruption.
   static Result<Tape> FromBytes(std::string data, const std::string& origin);
   static Result<Tape> Load(const std::string& path);
-
-  // Writes the legacy checksum-free v1 image; kept so tests can prove
-  // v1 tapes remain loadable. New code has no reason to call this.
-  Status SaveLegacyV1(const std::string& path) const;
 
  private:
   // Walks every record checking structural invariants; used by Load.

@@ -40,15 +40,14 @@ namespace {
 
 using cluster::Backend;
 using cluster::BackendConfig;
-using cluster::HttpGet;
 using cluster::Replicator;
 using cluster::Router;
 using cluster::RouterConfig;
-using cluster::ShardAddress;
 using cluster::ShardHealth;
 using cluster::ShardMap;
 using net::Client;
 using net::ClientConfig;
+using net::HttpGet;
 using net::LineProtocol;
 using net::Server;
 using net::ServerConfig;
@@ -981,6 +980,40 @@ TEST(ReplicationTest, EvictFansToEveryOwnerAndReplStatusReports) {
   EXPECT_NE(body.find("xsq_router_repl_pending"), std::string::npos);
   EXPECT_NE(body.find("xsq_router_repl_repaired_total"), std::string::npos);
   EXPECT_NE(body.find("xsq_router_repl_failed_total"), std::string::npos);
+}
+
+TEST(ReplicationTest, EvictForgetsTheKeyAtFactorOneWithoutGossip) {
+  // rf=1 and no gossip: RECORD and EVICT write the router's key index
+  // through one path, so REPLSTATUS stops counting an evicted key.
+  ClusterHarness cluster(2);
+  auto handler = cluster.router->MakeHandler();
+  std::string out;
+  handler->HandleLine("RECORD kept <r><a>k</a></r>", &out);
+  ASSERT_EQ(out.rfind("OK ", 0), 0u) << out;
+  out.clear();
+  handler->HandleLine("RECORD gone <r><a>g</a></r>", &out);
+  ASSERT_EQ(out.rfind("OK ", 0), 0u) << out;
+  out.clear();
+  handler->HandleLine("REPLSTATUS", &out);
+  EXPECT_EQ(out.rfind("REPL factor=1 keys=2", 0), 0u) << out;
+
+  out.clear();
+  handler->HandleLine("EVICT gone", &out);
+  EXPECT_EQ(out, "OK\n");
+  out.clear();
+  handler->HandleLine("REPLSTATUS", &out);
+  EXPECT_EQ(out.rfind("REPL factor=1 keys=1", 0), 0u) << out;
+
+  // A shard that answers NotFound also settles the key: it is gone.
+  std::optional<size_t> owner = cluster.router->OwnerOf("kept");
+  ASSERT_TRUE(owner.has_value());
+  ASSERT_TRUE(cluster.services[*owner]->EvictDocument("kept").ok());
+  out.clear();
+  handler->HandleLine("EVICT kept", &out);
+  EXPECT_EQ(out.rfind("ERR NotFound: ", 0), 0u) << out;
+  out.clear();
+  handler->HandleLine("REPLSTATUS", &out);
+  EXPECT_EQ(out.rfind("REPL factor=1 keys=0", 0), 0u) << out;
 }
 
 TEST(ReplicationTest, ReplPullServesPullsAndSurvivesCorruptPayloads) {

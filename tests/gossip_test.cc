@@ -219,8 +219,7 @@ struct AgentHarness {
     std::vector<Backend*> raw;
     for (size_t i = 0; i < num_shards; ++i) {
       backends.push_back(std::make_unique<Backend>(
-          cluster::ShardAddress{"127.0.0.1",
-                                static_cast<uint16_t>(base_port + i)},
+          net::Endpoint{"127.0.0.1", static_cast<uint16_t>(base_port + i)},
           BackendConfig()));
       raw.push_back(backends.back().get());
     }

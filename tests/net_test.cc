@@ -15,6 +15,7 @@
 #include <mutex>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -837,6 +838,85 @@ TEST(NetClientTest, DecodesErrRepliesIntoStatusCodes) {
   auto parse = client.Request("OPEN ///");
   ASSERT_TRUE(parse.ok());
   EXPECT_FALSE(parse->status.ok());
+}
+
+TEST(NetClientTest, ReadsAReplyBlockSpanningManyReceives) {
+  // 20 000 ITEM lines (~250 KiB) arrive over many recv calls, lines
+  // split across their boundaries; every line comes back, in order,
+  // and so does a single line longer than several receives.
+  Harness harness;
+  Client client(harness.client_config());
+  std::string doc = "<r>";
+  for (int i = 0; i < 20000; ++i) {
+    doc += "<a>item-" + std::to_string(i) + "</a>";
+  }
+  doc += "</r>";
+  auto record = client.Request("RECORD big " + LineProtocol::Escape(doc));
+  ASSERT_TRUE(record.ok() && record->status.ok());
+  auto open = client.Request("OPEN /r/a/text()");
+  ASSERT_TRUE(open.ok() && open->status.ok());
+  auto run = client.Request("RUNCACHED " + open->ok_payload + " big");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->status.ok()) << run->status.ToString();
+  ASSERT_EQ(run->lines.size(), 20000u);
+  for (int i = 0; i < 20000; i += 997) {
+    EXPECT_EQ(run->lines[i], "ITEM item-" + std::to_string(i));
+  }
+  EXPECT_EQ(run->lines.back(), "ITEM item-19999");
+  // One line several receives long: the tape REPLPULL serves.
+  auto pulled = client.Request("REPLPULL big");
+  ASSERT_TRUE(pulled.ok() && pulled->status.ok());
+  ASSERT_EQ(pulled->lines.size(), 1u);
+  EXPECT_EQ(pulled->lines[0].rfind("TAPE ", 0), 0u);
+  EXPECT_GT(pulled->lines[0].size(), 3 * (64u << 10));
+  // The connection stays in step for the next request.
+  auto stats = client.Request("STATS");
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->lines.front().rfind("STAT ", 0), 0u);
+}
+
+TEST(NetClientTest, HttpGetReturnsStatusAndBody) {
+  Harness harness;
+  net::Endpoint endpoint{"127.0.0.1", harness.server->port()};
+  auto healthz = net::HttpGet(endpoint, "/healthz", 2000);
+  ASSERT_TRUE(healthz.ok()) << healthz.status().ToString();
+  EXPECT_EQ(healthz->code, 200);
+  EXPECT_EQ(healthz->body.rfind("ok", 0), 0u) << healthz->body;
+  auto missing = net::HttpGet(endpoint, "/nope", 2000);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(missing->code, 404);
+}
+
+TEST(NetEndpointTest, ParsersRejectEmptyHostsAndPortsOutsideTheRange) {
+  EXPECT_EQ(net::ParsePort("1"), uint16_t{1});
+  EXPECT_EQ(net::ParsePort("65535"), uint16_t{65535});
+  // 70000 and 102083 used to wrap onto ports 4464 and 36547.
+  for (const char* bad : {"", "0", "65536", "70000", "102083", "-1", "+80",
+                          " 80", "80 ", "8a", "0x50", "99999999999999"}) {
+    EXPECT_FALSE(net::ParsePort(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(net::ParseListenPort("0"), uint16_t{0});
+  EXPECT_EQ(net::ParseListenPort("9100"), uint16_t{9100});
+  EXPECT_FALSE(net::ParseListenPort("105536").has_value());
+
+  std::optional<net::Endpoint> endpoint = net::ParseEndpoint("10.0.0.2:9101");
+  ASSERT_TRUE(endpoint.has_value());
+  EXPECT_EQ(endpoint->host, "10.0.0.2");
+  EXPECT_EQ(endpoint->port, 9101);
+  EXPECT_EQ(endpoint->ToString(), "10.0.0.2:9101");
+  for (const char* bad : {"", ":80", "host", "host:", "host:0",
+                          "127.0.0.1:65536", "127.0.0.1:102083"}) {
+    EXPECT_FALSE(net::ParseEndpoint(bad).has_value()) << bad;
+  }
+
+  auto list = net::ParseEndpoints("127.0.0.1:9100,127.0.0.1:9200");
+  ASSERT_TRUE(list.has_value());
+  ASSERT_EQ(list->size(), 2u);
+  EXPECT_EQ((*list)[1].port, 9200);
+  for (const char* bad : {"", ",", "127.0.0.1:1,", "127.0.0.1:1,,127.0.0.1:2",
+                          "127.0.0.1:1,127.0.0.1:70000"}) {
+    EXPECT_FALSE(net::ParseEndpoints(bad).has_value()) << bad;
+  }
 }
 
 TEST(NetClientTest, NonIdempotentVerbsDoNotRetryOnTransportFailure) {

@@ -1,5 +1,5 @@
 // Tests for the obs metrics library: histogram bucket math, quantiles,
-// snapshot merging, the registry's exposition format, and — run under
+// snapshot merging, the exposition format, and — run under
 // -DXSQ_SANITIZE=thread — the lock-free concurrency contract of
 // Record()/snapshot()/GetOrCreateHistogram().
 #include <atomic>
@@ -155,7 +155,7 @@ TEST(RegistryTest, RenderTextExposition) {
   Histogram* h = registry.GetOrCreateHistogram("xsq_test_us", "test metric");
   h->Record(3);
   h->Record(5);
-  std::string text = registry.RenderText();
+  std::string text = registry.Snapshot().Render();
   EXPECT_NE(text.find("# HELP xsq_test_us test metric"), std::string::npos);
   EXPECT_NE(text.find("# TYPE xsq_test_us histogram"), std::string::npos);
   // 3 and 5 both land in bucket [2,3] and [4,7]: cumulative counts.
@@ -185,7 +185,7 @@ TEST(RegistryTest, LabeledSeriesRenderUnderOneFamily) {
 
   nc->Record(3);
   f->Record(100);
-  std::string text = registry.RenderText();
+  std::string text = registry.Snapshot().Render();
   // One family header, not one per series.
   size_t first_type = text.find("# TYPE xsq_req_us histogram");
   ASSERT_NE(first_type, std::string::npos);
@@ -201,11 +201,15 @@ TEST(RegistryTest, LabeledSeriesRenderUnderOneFamily) {
             std::string::npos);
 }
 
-TEST(RegistryTest, AppendScalarFormat) {
-  std::string out;
-  Registry::AppendScalar(&out, "xsq_things_total", ScalarKind::kCounter, 42);
-  EXPECT_NE(out.find("# TYPE xsq_things_total counter"), std::string::npos);
-  EXPECT_NE(out.find("xsq_things_total 42"), std::string::npos);
+TEST(ExpositionTest, AddScalarFormat) {
+  Exposition doc;
+  doc.AddScalar("xsq_things_total", ScalarKind::kCounter, 42);
+  doc.AddScalar("xsq_things_live", ScalarKind::kGauge, 7);
+  EXPECT_EQ(doc.Render(),
+            "# TYPE xsq_things_total counter\n"
+            "xsq_things_total 42\n"
+            "# TYPE xsq_things_live gauge\n"
+            "xsq_things_live 7\n");
 }
 
 // Concurrent registration of overlapping names plus rendering must be
@@ -220,7 +224,7 @@ TEST(RegistryTest, ConcurrentGetOrCreateAndRender) {
         Histogram* h = registry.GetOrCreateHistogram(
             "shared_" + std::to_string(i % 8));
         h->Record(static_cast<uint64_t>(t + 1));
-        if (i % 50 == 0) registry.RenderText();
+        if (i % 50 == 0) registry.Snapshot().Render();
       }
     });
   }
@@ -247,7 +251,7 @@ TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForHistograms) {
   replay->Record(7);
   replay->Record(4096);
 
-  std::string text = registry.RenderText();
+  std::string text = registry.Snapshot().Render();
   Result<Exposition> parsed = Exposition::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Render(), text);
@@ -263,13 +267,11 @@ TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForHistograms) {
 }
 
 TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForScalars) {
-  std::string text;
-  Registry::AppendScalar(&text, "xsq_sessions_opened",
-                         ScalarKind::kCounter, 42);
-  Registry::AppendScalar(&text, "xsq_doc_cache_documents",
-                         ScalarKind::kGauge, 3);
-  Registry::AppendScalar(&text, "xsq_connections_shed",
-                         ScalarKind::kCounter, 0);
+  Exposition doc;
+  doc.AddScalar("xsq_sessions_opened", ScalarKind::kCounter, 42);
+  doc.AddScalar("xsq_doc_cache_documents", ScalarKind::kGauge, 3);
+  doc.AddScalar("xsq_connections_shed", ScalarKind::kCounter, 0);
+  std::string text = doc.Render();
 
   Result<Exposition> parsed = Exposition::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -283,14 +285,14 @@ TEST(ExpositionTest, RenderParseRenderIsByteIdenticalForScalars) {
 }
 
 TEST(ExpositionTest, MixedScalarAndHistogramDocumentRoundTrips) {
-  // The shape METRICS actually serves: scalar counters first, then the
-  // registry's histograms.
+  // The shape METRICS actually serves: the registry's histograms, then
+  // the scalar counters.
   Registry registry;
   registry.GetOrCreateHistogram("xsq_request_us", "Request latency.")
       ->Record(123);
-  std::string text;
-  Registry::AppendScalar(&text, "xsq_items_emitted", ScalarKind::kCounter, 9);
-  text += registry.RenderText();
+  Exposition doc = registry.Snapshot();
+  doc.AddScalar("xsq_items_emitted", ScalarKind::kCounter, 9);
+  std::string text = doc.Render();
 
   Result<Exposition> parsed = Exposition::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -306,15 +308,13 @@ TEST(ExpositionTest, MergeFromSumsScalarsAndFoldsHistogramsBucketWise) {
   ha->Record(200);
   hb->Record(5000);
 
-  std::string text_a;
-  Registry::AppendScalar(&text_a, "xsq_sessions_opened",
-                         ScalarKind::kCounter, 2);
-  text_a += shard_a.RenderText();
-  std::string text_b;
-  Registry::AppendScalar(&text_b, "xsq_sessions_opened",
-                         ScalarKind::kCounter, 5);
-  Registry::AppendScalar(&text_b, "xsq_publishes", ScalarKind::kCounter, 1);
-  text_b += shard_b.RenderText();
+  Exposition doc_a = shard_a.Snapshot();
+  doc_a.AddScalar("xsq_sessions_opened", ScalarKind::kCounter, 2);
+  std::string text_a = doc_a.Render();
+  Exposition doc_b = shard_b.Snapshot();
+  doc_b.AddScalar("xsq_sessions_opened", ScalarKind::kCounter, 5);
+  doc_b.AddScalar("xsq_publishes", ScalarKind::kCounter, 1);
+  std::string text_b = doc_b.Render();
 
   Result<Exposition> merged = Exposition::Parse(text_a);
   ASSERT_TRUE(merged.ok());

@@ -1,6 +1,9 @@
 #include "core/streaming_query.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <algorithm>
 
 #include "common/strings.h"
 #include "core/engine.h"
@@ -52,6 +55,42 @@ TEST(StreamingQueryTest, AggregationExposesRunningAndFinalValues) {
   ASSERT_TRUE((*query)->Close().ok());
   ASSERT_TRUE((*query)->final_aggregate().has_value());
   EXPECT_DOUBLE_EQ(*(*query)->final_aggregate(), 3.5);
+}
+
+// Heap bytes allocated through malloc and not yet freed.
+size_t LiveHeapBytes() {
+  struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(StreamingQueryTest, RunningAggregateHoldsOneValueNotOnePerMatch) {
+  // About 2 000 000 matches of a running count, pushed in 64 KiB
+  // chunks. Keeping every running value would hold 8 bytes per match
+  // (16 MB) until the document ends; the query keeps the latest.
+  const std::string element = "<a>1</a>";
+  std::string chunk;
+  while (chunk.size() < (64u << 10)) chunk += element;
+  const size_t per_chunk = chunk.size() / element.size();
+  const size_t chunks = 2000000 / per_chunk;
+  auto query = StreamingQuery::Open("/r/a/count()");
+  ASSERT_TRUE(query.ok());
+  const size_t before = LiveHeapBytes();
+  ASSERT_TRUE((*query)->Push("<r>").ok());
+  for (size_t i = 0; i < chunks; ++i) {
+    ASSERT_TRUE((*query)->Push(chunk).ok());
+  }
+  // Measured while the document is still open, before Close or Reset
+  // could release anything.
+  const size_t after = LiveHeapBytes();
+  EXPECT_LT(after - std::min(after, before), size_t{8} << 20)
+      << "bytes of heap growth";
+  ASSERT_TRUE((*query)->Push("</r>").ok());
+  ASSERT_TRUE((*query)->Close().ok());
+  ASSERT_TRUE((*query)->final_aggregate().has_value());
+  EXPECT_DOUBLE_EQ(*(*query)->final_aggregate(),
+                   static_cast<double>(chunks * per_chunk));
+  EXPECT_DOUBLE_EQ(*(*query)->current_aggregate(),
+                   static_cast<double>(chunks * per_chunk));
 }
 
 TEST(StreamingQueryTest, ErrorsSurfaceFromParserAndParserReuseBlocked) {

@@ -264,28 +264,23 @@ TEST(TapeTest, FromBytesRejectsTruncationWithDataCorruption) {
   }
 }
 
-TEST(TapeTest, LegacyV1FilesStillLoad) {
-  // Pre-checksum tapes in the wild must keep loading (without the
-  // corruption guarantee, which v1 never had).
-  const char* path = "xsq_tape_legacy_v1.bin";
+TEST(TapeTest, LegacyV1ImagesAreRejected) {
+  // The checksum-free v1 layout no longer loads. Built here from the v2
+  // image: the v1 magic, then header, records and blob without their
+  // CRC32C trailers.
   Tape tape = MustRecord(kDoc);
-  ASSERT_TRUE(tape.SaveLegacyV1(path).ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes.substr(0, 8), "XSQTAPE1");
-  }
-  Result<Tape> loaded = Tape::Load(path);
-  std::remove(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->event_count(), tape.event_count());
-  std::vector<xml::Event> original = ReplayEvents(tape);
-  std::vector<xml::Event> reloaded = ReplayEvents(*loaded);
-  ASSERT_EQ(original.size(), reloaded.size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_TRUE(original[i] == reloaded[i]) << i;
-  }
+  const std::string v2 = tape.Serialize();
+  const size_t records = tape.record_bytes();
+  const size_t header_end =
+      v2.size() - (records + tape.blob_bytes() + 3 * 4);
+  std::string v1 = "XSQTAPE1" + v2.substr(8, header_end - 8) +
+                   v2.substr(header_end + 4, records) +
+                   v2.substr(header_end + 4 + records + 4, tape.blob_bytes());
+  Result<Tape> loaded = Tape::FromBytes(v1, "v1 image");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataCorruption);
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(ProjectionMaskTest, EmptyQuerySetKeepsEverything) {
