@@ -5,8 +5,8 @@
 # `fig17_datasets micro_benchmarks`); none runs them all. Scale corpora
 # with XSQ_BENCH_SCALE (default 1; 16 approximates the paper's real
 # dataset sizes). Each file opens with the host record: CPU model,
-# nproc, build type and the source commit ("-dirty" when the working
-# tree differs from it).
+# nproc, build type and the source commit ("-dirty" when the sources
+# in the working tree differ from it).
 set -u
 cd "$(dirname "$0")/.."
 build_dir=${BUILD_DIR:-build}
@@ -22,10 +22,13 @@ fi
 host_record() {
   local cpu build_type sha
   cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)
+  # An empty cache entry builds Release (see CMakeLists.txt).
   build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
     "$build_dir/CMakeCache.txt")
-  sha=$(git describe --always --dirty 2>/dev/null || echo unknown)
-  echo "host: cpu=\"$cpu\" nproc=$(nproc) build=${build_type:-unknown} sha=$sha"
+  sha=$(git describe --always 2>/dev/null || echo unknown)
+  git diff --quiet HEAD -- src bench examples CMakeLists.txt 2>/dev/null \
+    || sha="$sha-dirty"
+  echo "host: cpu=\"$cpu\" nproc=$(nproc) build=${build_type:-Release} sha=$sha"
 }
 
 # run <name> <cmd...>: one binary into $out_dir/<name>.txt.
