@@ -5,11 +5,10 @@
 //
 //   (a) gossip convergence: two routers over the same 3 shards are
 //       handed a staged disagreement (each believes a different view
-//       of one shard's liveness) plus a key index only one of them
-//       has; ONE push-pull exchange round — one gossip interval —
-//       leaves both with identical digests, identical liveness masks,
-//       and identical ring owners for every key, and the surviving
-//       router's sweep universe contains keys it never saw RECORDed;
+//       of one shard's liveness); ONE push-pull exchange round — one
+//       gossip interval — leaves both with identical digests,
+//       identical liveness masks, and identical ring owners for every
+//       key;
 //   (b) SIGKILL failover: two real xsq_router processes gossiping
 //       over --peers, a client listing both endpoints; router A is
 //       killed -9 mid-RECORD-workload and 100% of the idempotent
@@ -121,20 +120,6 @@ int GossipConvergence(const std::vector<net::Endpoint>& shards,
   a->gossip()->AddPeer({"127.0.0.1", (*server_b)->port()});
   b->gossip()->AddPeer({"127.0.0.1", (*server_a)->port()});
 
-  // Router A carries the whole key index (every RECORD went through
-  // it); router B has never seen one of these keys.
-  auto handler = a->MakeHandler();
-  for (size_t i = 0; i < docs.size(); ++i) {
-    std::string out;
-    handler->HandleLine("RECORD " + DocName(i) + " " +
-                            LineProtocol::Escape(docs[i]),
-                        &out);
-    if (out.rfind("OK ", 0) != 0) {
-      std::fprintf(stderr, "RECORD failed: %.200s\n", out.c_str());
-      return 1;
-    }
-  }
-
   // The staged disagreement: A's prober saw shard 1 die; B's did not.
   const size_t victim = 1;
   a->gossip()->LocalObservation(victim, ShardHealth::kDead);
@@ -154,14 +139,9 @@ int GossipConvergence(const std::vector<net::Endpoint>& shards,
   for (size_t i = 0; i < docs.size(); ++i) {
     if (a->OwnerOf(DocName(i)) == b->OwnerOf(DocName(i))) ++owners_equal;
   }
-  // B learned the key universe it never saw RECORDed — this is what
-  // lets a surviving router sweep-repair after its peer dies.
-  size_t keys_learned = b->replicator()->known_keys();
-
   *converged = disagreed && digests_equal && masks_equal &&
                victim_dead_everywhere && owners_equal == docs.size() &&
-               keys_learned == docs.size() &&
-               b->gossip()->counters().merges >= docs.size() + 1;
+               b->gossip()->counters().merges >= 1;
 
   TablePrinter table({"Quantity", "Value"});
   table.AddRow({"staged disagreement", disagreed ? "yes" : "no"});
@@ -170,8 +150,6 @@ int GossipConvergence(const std::vector<net::Endpoint>& shards,
   table.AddRow({"liveness masks equal", masks_equal ? "yes" : "no"});
   table.AddRow({"ring owners equal", std::to_string(owners_equal) + "/" +
                                          std::to_string(docs.size())});
-  table.AddRow({"keys learned by peer", std::to_string(keys_learned) + "/" +
-                                            std::to_string(docs.size())});
   table.AddRow(
       {"entries adopted by peer",
        std::to_string(b->gossip()->counters().merges)});
@@ -259,7 +237,7 @@ int KillRouterMidWorkload(const std::string& router_binary,
   }
 
   // The survivor's gossip marks the dead peer within a bounded number
-  // of intervals (peer_fail_threshold * interval + jitter).
+  // of intervals (GossipAgent::kPeerFailThreshold * interval + jitter).
   net::ClientConfig direct_b;
   direct_b.port = router_b.port();
   net::Client survivor(direct_b);

@@ -33,11 +33,10 @@ inline size_t ScaledBytes(size_t base) {
 // One system's throughput relative to the PureParser on the same bytes
 // (Section 6.2), from paired rounds: bench_util's TimePaired alternates
 // a PureParser run and a system run, so host speed drift lands on both
-// legs of a round instead of in the ratio. Each leg runs twice in its
-// turn and only the second run counts: a parse that follows a DOM
-// build and teardown runs slower than one that follows a parse, and
-// without the repeat that order effect splits the per-round ratios of
-// the allocation-heavy systems into two clusters.
+// legs of a round instead of in the ratio, and runs each leg's turn as
+// a warm-up and a timed call. Only the timed calls' measurements
+// count: a parse that follows a DOM build and teardown runs slower
+// than one that follows a parse.
 struct PairedRun {
   RunMeasurement run;     // the system's last run (support, items)
   double relative = 0.0;  // median over rounds of the per-round ratio
@@ -51,13 +50,14 @@ inline Result<PairedRun> RunPaired(System system, std::string_view query_text,
   if (!first.ok()) return first.status();
   PairedRun paired{*first};
   if (!first->supported) return paired;
+  // Every call's measurement, in call order: TimePaired calls a leg
+  // twice per turn, so the odd entries are the timed calls.
   std::vector<RunMeasurement> pure;
   std::vector<RunMeasurement> own;
   Status failed = Status::OK();
   auto measure = [&](System leg, std::string_view query,
                      std::vector<RunMeasurement>* into) {
     Result<RunMeasurement> m = RunSystem(leg, query, xml);
-    if (m.ok()) m = RunSystem(leg, query, xml);
     if (m.ok()) {
       into->push_back(*m);
     } else {
@@ -72,7 +72,7 @@ inline Result<PairedRun> RunPaired(System system, std::string_view query_text,
   XSQ_RETURN_IF_ERROR(failed);
   std::vector<double> ratios;
   std::vector<double> rates;
-  for (size_t r = 0; r < own.size(); ++r) {
+  for (size_t r = 1; r < own.size(); r += 2) {
     ratios.push_back(RelativeThroughput(own[r], pure[r]));
     rates.push_back(own[r].throughput_mb_per_s());
   }

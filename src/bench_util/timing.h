@@ -55,11 +55,16 @@ struct PairedTiming {
 // Times `a` and `b` over `rounds` rounds: even rounds run a then b, odd
 // rounds b then a. The host's speed drifts over seconds, so a ratio of
 // two legs timed in separate blocks measures the drift as well; paired
-// rounds put both legs under the same conditions.
+// rounds put both legs under the same conditions. Each turn runs its
+// leg once untimed, then once timed: a leg that follows the other runs
+// slower than one that follows itself (caches, allocator state), and
+// without the warm-up that order effect splits the per-round ratios
+// into two clusters.
 template <typename FnA, typename FnB>
 PairedTiming TimePaired(int rounds, FnA&& a, FnB&& b) {
   PairedTiming timing;
   auto time = [](auto& fn) {
+    fn();
     auto start = std::chrono::steady_clock::now();
     fn();
     return Seconds(start);

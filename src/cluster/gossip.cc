@@ -41,18 +41,9 @@ bool GossipDigest::Supersedes(const ShardEntry& incoming,
   return HealthRank(incoming.health) > HealthRank(current.health);
 }
 
-bool GossipDigest::Supersedes(const KeyEntry& incoming,
-                              const KeyEntry& current) {
-  if (incoming.epoch != current.epoch) return incoming.epoch > current.epoch;
-  // Equal epoch: the tombstone wins — never resurrect an evicted key
-  // on a tie.
-  return incoming.deleted && !current.deleted;
-}
-
 size_t GossipDigest::MergeFrom(
     const GossipDigest& other,
-    const std::function<void(size_t, const ShardEntry&)>& on_shard,
-    const std::function<void(const std::string&, const KeyEntry&)>& on_key) {
+    const std::function<void(size_t, const ShardEntry&)>& on_shard) {
   size_t adopted = 0;
   size_t common = std::min(shards.size(), other.shards.size());
   for (size_t i = 0; i < common; ++i) {
@@ -62,57 +53,18 @@ size_t GossipDigest::MergeFrom(
       if (on_shard) on_shard(i, shards[i]);
     }
   }
-  for (const auto& [key, entry] : other.keys) {
-    auto it = keys.find(key);
-    if (it == keys.end()) {
-      keys.emplace(key, entry);
-      ++adopted;
-      if (on_key) on_key(key, entry);
-    } else if (Supersedes(entry, it->second)) {
-      it->second = entry;
-      ++adopted;
-      if (on_key) on_key(key, entry);
-    }
-  }
   return adopted;
-}
-
-bool GossipDigest::operator==(const GossipDigest& other) const {
-  if (shards.size() != other.shards.size()) return false;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].epoch != other.shards[i].epoch ||
-        shards[i].health != other.shards[i].health) {
-      return false;
-    }
-  }
-  if (keys.size() != other.keys.size()) return false;
-  auto a = keys.begin();
-  auto b = other.keys.begin();
-  for (; a != keys.end(); ++a, ++b) {
-    if (a->first != b->first || a->second.epoch != b->second.epoch ||
-        a->second.deleted != b->second.deleted) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------
 // Wire form.
 
 std::string GossipDigest::Serialize() const {
-  std::string out = "XSQGOSSIP v1 shards=" + std::to_string(shards.size());
+  std::string out = "XSQGOSSIP v2 shards=" + std::to_string(shards.size());
   out.push_back('\n');
   for (size_t i = 0; i < shards.size(); ++i) {
     out += "S " + std::to_string(i) + " " + std::to_string(shards[i].epoch) +
            " " + ShardHealthName(shards[i].health);
-    out.push_back('\n');
-  }
-  for (const auto& [key, entry] : keys) {
-    // RECORD names are arbitrary bytes; escape them so a newline or
-    // backslash in a key cannot forge or split digest lines.
-    out += "K " + std::to_string(entry.epoch) + " " +
-           (entry.deleted ? "1" : "0") + " " + LineEscape(key);
     out.push_back('\n');
   }
   char crc[16];
@@ -165,7 +117,7 @@ Result<GossipDigest> GossipDigest::Parse(std::string_view text) {
       std::string_view magic = TakeWord(&rest);
       std::string_view version = TakeWord(&rest);
       std::string_view shards_field = TakeWord(&rest);
-      if (magic != "XSQGOSSIP" || version != "v1" ||
+      if (magic != "XSQGOSSIP" || version != "v2" ||
           shards_field.rfind("shards=", 0) != 0) {
         return Status::ParseError("gossip digest bad header");
       }
@@ -180,28 +132,18 @@ Result<GossipDigest> GossipDigest::Parse(std::string_view text) {
     }
     std::string_view rest = line;
     std::string_view tag = TakeWord(&rest);
-    if (tag == "S") {
-      std::optional<uint64_t> index = ParseUint64(TakeWord(&rest));
-      std::optional<uint64_t> epoch = ParseUint64(TakeWord(&rest));
-      ShardHealth health;
-      if (!index.has_value() || *index >= shard_count ||
-          !epoch.has_value() ||
-          !ParseHealthName(TakeWord(&rest), &health) || !rest.empty()) {
-        return Status::ParseError("gossip digest bad shard line");
-      }
-      digest.shards[static_cast<size_t>(*index)] = ShardEntry{*epoch, health};
-    } else if (tag == "K") {
-      std::optional<uint64_t> epoch = ParseUint64(TakeWord(&rest));
-      std::string_view deleted = TakeWord(&rest);
-      if (!epoch.has_value() || (deleted != "0" && deleted != "1") ||
-          rest.empty()) {
-        return Status::ParseError("gossip digest bad key line");
-      }
-      digest.keys[LineUnescape(rest)] = KeyEntry{*epoch, deleted == "1"};
-    } else {
+    if (tag != "S") {
       return Status::ParseError("gossip digest unknown line tag '" +
                                 std::string(tag) + "'");
     }
+    std::optional<uint64_t> index = ParseUint64(TakeWord(&rest));
+    std::optional<uint64_t> epoch = ParseUint64(TakeWord(&rest));
+    ShardHealth health;
+    if (!index.has_value() || *index >= shard_count || !epoch.has_value() ||
+        !ParseHealthName(TakeWord(&rest), &health) || !rest.empty()) {
+      return Status::ParseError("gossip digest bad shard line");
+    }
+    digest.shards[static_cast<size_t>(*index)] = ShardEntry{*epoch, health};
   }
   if (!seen_header) return Status::ParseError("gossip digest empty");
   return digest;
@@ -216,12 +158,10 @@ Result<GossipDigest> GossipDigest::DecodeWire(std::string_view token) {
 // ---------------------------------------------------------------------
 // GossipAgent.
 
-GossipAgent::GossipAgent(std::vector<Backend*> backends,
-                         Replicator* replicator, GossipConfig config)
+GossipAgent::GossipAgent(std::vector<Backend*> backends, GossipConfig config)
     : backends_(std::move(backends)),
-      replicator_(replicator),
       config_(std::move(config)),
-      jitter_state_(config_.jitter_seed) {
+      jitter_state_(kJitterSeed) {
   digest_.shards.resize(backends_.size());
   for (size_t i = 0; i < backends_.size(); ++i) {
     digest_.shards[i] = {0, backends_[i]->health()};
@@ -275,61 +215,16 @@ void GossipAgent::LocalObservation(size_t shard, ShardHealth health) {
   backends_[shard]->set_health(health);
 }
 
-void GossipAgent::NoteKey(std::string_view key) {
-  {
-    std::lock_guard<std::mutex> lock(digest_mu_);
-    auto it = digest_.keys.find(std::string(key));
-    if (it == digest_.keys.end()) {
-      digest_.keys.emplace(std::string(key), GossipDigest::KeyEntry{1, false});
-    } else if (it->second.deleted) {
-      it->second.epoch += 1;
-      it->second.deleted = false;
-    }
-    // A live re-RECORD is a no-op: the entry already says what the
-    // cluster needs to know, and skipping the bump keeps digests stable.
-  }
-  // Keep the replication plane's key universe in step with the digest:
-  // with gossip on, Router::IndexKey writes the key index only here.
-  replicator_->NoteKey(key);
-}
-
-void GossipAgent::ForgetKey(std::string_view key) {
-  {
-    std::lock_guard<std::mutex> lock(digest_mu_);
-    auto it = digest_.keys.find(std::string(key));
-    if (it == digest_.keys.end()) {
-      // Tombstone an unknown key too: a peer may hold a live entry this
-      // router never saw, and the eviction must still propagate.
-      digest_.keys.emplace(std::string(key), GossipDigest::KeyEntry{1, true});
-    } else if (!it->second.deleted) {
-      it->second.epoch += 1;
-      it->second.deleted = true;
-    }
-  }
-  replicator_->ForgetKey(key);
-}
-
 size_t GossipAgent::MergeAndApply(const GossipDigest& remote) {
   size_t adopted = 0;
   {
     std::lock_guard<std::mutex> lock(digest_mu_);
     adopted = digest_.MergeFrom(
-        remote,
-        [this](size_t shard, const GossipDigest::ShardEntry& entry) {
+        remote, [this](size_t shard, const GossipDigest::ShardEntry& entry) {
           // Adopted remote observation: route by it until the local
           // prober learns something newer (which bumps the epoch).
           if (shard < backends_.size()) {
             backends_[shard]->set_health(entry.health);
-          }
-        },
-        [this](const std::string& key, const GossipDigest::KeyEntry& entry) {
-          // Keep the replication plane's key universe in step so a
-          // surviving router repairs (and sweeps) keys it never saw
-          // RECORDed.
-          if (entry.deleted) {
-            replicator_->ForgetKey(key);
-          } else {
-            replicator_->NoteKey(key);
           }
         });
   }
@@ -399,7 +294,7 @@ void GossipAgent::ExchangeNow() {
       }
     } else {
       peer->client->Close();
-      if (++peer->consecutive_failures >= config_.peer_fail_threshold &&
+      if (++peer->consecutive_failures >= kPeerFailThreshold &&
           !peer->down) {
         peer->down = true;
         peer_down_.fetch_add(1, std::memory_order_relaxed);

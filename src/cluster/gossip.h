@@ -2,25 +2,22 @@
 // so N >= 2 routers run active-active over the same shard set with no
 // single point of failure (DESIGN.md §15).
 //
-// Each router's routing state is a versioned, mergeable GossipDigest:
-//
-//   per shard   {epoch, health}   the serving/shedding/draining/dead
-//                                 flag the ring routes by, stamped with
-//                                 a monotonically increasing epoch that
-//                                 bumps on every locally observed
-//                                 transition
-//   per key     {epoch, deleted}  the RECORD key index that seeds the
-//                                 replication plane's sweep universe
-//                                 (deleted = EVICT tombstone)
+// Each router's routing state is a versioned, mergeable GossipDigest
+// holding one {epoch, health} entry per shard: the serving/shedding/
+// draining/dead flag the ring routes by, stamped with a monotonically
+// increasing epoch that bumps on every locally observed transition.
+// The digest's size depends on the shard count alone. Which documents
+// exist is not gossiped: the shards' REPLSTATUS inventories are the
+// cluster's only document index (cluster/replication.h).
 //
 // Merge is max-epoch-wins per entry with a deterministic tie break
-// (equal epochs: the *worse* health wins for shards, the tombstone
-// wins for keys). Each entry's merge is therefore a join in a total
-// order — commutative, associative, idempotent — so any exchange
-// pattern converges: two routers whose probe passes disagree agree on
-// one mask after a single push-pull round, and routers that agree on
-// the mask compute identical rings for every key (ShardMap is a pure
-// function of topology + mask). gossip_test pins the algebra.
+// (equal epochs: the *worse* health wins). Each entry's merge is
+// therefore a join in a total order — commutative, associative,
+// idempotent — so any exchange pattern converges: two routers whose
+// probe passes disagree agree on one mask after a single push-pull
+// round, and routers that agree on the mask compute identical rings
+// for every key (ShardMap is a pure function of topology + mask).
+// gossip_test pins the algebra.
 //
 // Wire: the digest serializes to a line-oriented block guarded by a
 // CRC32C trailer (same checksum discipline as the tape format), which
@@ -31,7 +28,7 @@
 // every exchange push-pull: one round converges both ends.
 //
 // Peer liveness is tracked by the exchange itself: a peer that stops
-// answering GOSSIP for peer_fail_threshold consecutive rounds is
+// answering GOSSIP for kPeerFailThreshold consecutive rounds is
 // marked down (xsq_router_gossip_peer_down_total); clients' multi-
 // endpoint failover (net::Client endpoints) is the recovery path —
 // routers never proxy for each other.
@@ -42,7 +39,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,7 +47,6 @@
 #include <vector>
 
 #include "cluster/backend_pool.h"
-#include "cluster/replication.h"
 #include "common/status.h"
 #include "net/client.h"
 
@@ -63,40 +58,32 @@ struct GossipDigest {
   struct ShardEntry {
     uint64_t epoch = 0;
     ShardHealth health = ShardHealth::kServing;
-  };
-  struct KeyEntry {
-    uint64_t epoch = 0;
-    bool deleted = false;  // EVICT tombstone
+
+    bool operator==(const ShardEntry&) const = default;
   };
 
-  std::vector<ShardEntry> shards;         // indexed by shard
-  std::map<std::string, KeyEntry> keys;   // sorted: deterministic wire
+  std::vector<ShardEntry> shards;  // indexed by shard
 
   // True when `incoming` supersedes `current` (strictly greater epoch,
   // or equal epoch and a "worse" value — the deterministic tie break
   // that makes the merge a total-order join).
   static bool Supersedes(const ShardEntry& incoming,
                          const ShardEntry& current);
-  static bool Supersedes(const KeyEntry& incoming, const KeyEntry& current);
 
   // Merges `other` into *this, entry-wise max-epoch-wins. Returns how
-  // many entries were adopted from `other`. The optional callbacks fire
-  // once per adopted entry (used by the agent to apply side effects:
-  // Backend::set_health, Replicator::NoteKey/ForgetKey).
-  size_t MergeFrom(
-      const GossipDigest& other,
-      const std::function<void(size_t, const ShardEntry&)>& on_shard = nullptr,
-      const std::function<void(const std::string&, const KeyEntry&)>& on_key =
-          nullptr);
+  // many entries were adopted from `other`. The optional callback fires
+  // once per adopted entry (the agent applies it to the Backend).
+  size_t MergeFrom(const GossipDigest& other,
+                   const std::function<void(size_t, const ShardEntry&)>&
+                       on_shard = nullptr);
 
-  bool operator==(const GossipDigest& other) const;
-  bool operator!=(const GossipDigest& other) const { return !(*this == other); }
+  bool operator==(const GossipDigest&) const = default;
 
   // Line-oriented text block with a CRC32C trailer:
-  //   XSQGOSSIP v1 shards=<n>
+  //   XSQGOSSIP v2 shards=<n>
   //   S <index> <epoch> <health>
-  //   K <epoch> <0|1> <key>
   //   CRC <8 hex digits>
+  // A v1 block (which also carried per-key "K" lines) fails to parse.
   std::string Serialize() const;
   static Result<GossipDigest> Parse(std::string_view text);
 
@@ -118,13 +105,9 @@ struct GossipConfig {
   uint64_t interval_ms = 500;
   uint64_t connect_timeout_ms = 1000;
   uint64_t request_timeout_ms = 2000;
-  // Consecutive failed exchanges before a peer is marked down.
-  int peer_fail_threshold = 3;
   // Start the background exchange thread. Tests and benches that want
   // deterministic rounds set false and call ExchangeNow().
   bool start = true;
-  // Seed for the deterministic interval jitter stream.
-  uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
 };
 
 // The per-router gossip endpoint: owns the digest, the peer roster,
@@ -133,10 +116,14 @@ struct GossipConfig {
 // thread, ExchangeNow from the gossip thread or tests.
 class GossipAgent {
  public:
-  // `backends` and `replicator` outlive the agent (all owned by the
-  // Router that owns this). `replicator` may not be null.
-  GossipAgent(std::vector<Backend*> backends, Replicator* replicator,
-              GossipConfig config);
+  // Consecutive failed exchanges before a peer is marked down: one
+  // lost round is noise, three at the default interval is a dead peer.
+  static constexpr int kPeerFailThreshold = 3;
+  // Seed of the interval jitter stream; fixed so runs are repeatable.
+  static constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
+
+  // `backends` outlive the agent (owned by the Router that owns this).
+  GossipAgent(std::vector<Backend*> backends, GossipConfig config);
   ~GossipAgent();
 
   GossipAgent(const GossipAgent&) = delete;
@@ -157,13 +144,9 @@ class GossipAgent {
   // Backend either way.
   void LocalObservation(size_t shard, ShardHealth health);
 
-  // Key-index writes from the RECORD / EVICT paths.
-  void NoteKey(std::string_view key);
-  void ForgetKey(std::string_view key);
-
   // Server side of the GOSSIP verb: decode + merge the remote digest
-  // (applying adopted entries to backends and the replicator's key
-  // index), return our post-merge digest for the "DIGEST" reply line.
+  // (applying adopted entries to the backends), return our post-merge
+  // digest for the "DIGEST" reply line.
   struct ExchangeReply {
     std::string wire;     // post-merge digest, EncodeWire()'d
     size_t adopted = 0;   // entries learned from the remote digest
@@ -193,12 +176,11 @@ class GossipAgent {
   };
 
   // Merges `remote` into digest_ under digest_mu_, applying adopted
-  // entries to the backends and the replicator key index.
+  // entries to the backends.
   size_t MergeAndApply(const GossipDigest& remote);
   void Loop();
 
   const std::vector<Backend*> backends_;
-  Replicator* const replicator_;
   const GossipConfig config_;
 
   mutable std::mutex digest_mu_;

@@ -11,7 +11,7 @@ HealthProber::HealthProber(std::vector<Backend*> backends, ProbeConfig config)
       config_(config),
       consecutive_failures_(backends_.size(), 0),
       consecutive_successes_(backends_.size(), 0),
-      jitter_state_(config.jitter_seed),
+      jitter_state_(kJitterSeed),
       last_metrics_(backends_.size()) {}
 
 HealthProber::~HealthProber() { Stop(); }
@@ -43,7 +43,7 @@ void HealthProber::Apply(size_t i, ShardHealth health) {
 void HealthProber::ProbeShard(size_t i) {
   Backend* backend = backends_[i];
   Result<net::HttpResponse> probe =
-      net::HttpGet(backend->address(), "/healthz", config_.timeout_ms);
+      net::HttpGet(backend->address(), "/healthz", kTimeoutMs);
   if (!probe.ok()) {
     consecutive_successes_[i] = 0;
     if (++consecutive_failures_[i] >= config_.fail_threshold) {
@@ -73,13 +73,11 @@ void HealthProber::ProbeShard(size_t i) {
   }
   consecutive_successes_[i] = 0;
   Apply(i, observed);
-  if (config_.scrape_metrics) {
-    Result<net::HttpResponse> metrics =
-        net::HttpGet(backend->address(), "/metrics", config_.timeout_ms);
-    if (metrics.ok() && metrics->code == 200) {
-      std::lock_guard<std::mutex> lock(mu_);
-      last_metrics_[i] = std::move(metrics->body);
-    }
+  Result<net::HttpResponse> metrics =
+      net::HttpGet(backend->address(), "/metrics", kTimeoutMs);
+  if (metrics.ok() && metrics->code == 200) {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_metrics_[i] = std::move(metrics->body);
   }
 }
 

@@ -29,10 +29,10 @@
 // interval (plus the threshold's worth of misses); every other
 // shard's keys never move.
 //
-// When scrape_metrics is set the prober also fetches GET /metrics
-// from reachable shards and caches the last good exposition text per
-// shard, giving the router's merged cluster view a stale-but-present
-// fallback for shards that drop out mid-scrape.
+// The prober also fetches GET /metrics from reachable shards and
+// caches the last good exposition text per shard, giving the router's
+// merged cluster view a stale-but-present fallback for shards that
+// drop out mid-scrape.
 #ifndef XSQ_CLUSTER_HEALTH_H_
 #define XSQ_CLUSTER_HEALTH_H_
 
@@ -53,7 +53,6 @@ namespace xsq::cluster {
 
 struct ProbeConfig {
   uint64_t interval_ms = 500;
-  uint64_t timeout_ms = 1000;
   // Consecutive probe failures before a shard is marked dead.
   int fail_threshold = 3;
   // Consecutive probe successes before a DEAD shard rejoins the ring
@@ -62,13 +61,17 @@ struct ProbeConfig {
   // draining) stay immediate — hysteresis only guards the dead->alive
   // edge that remaps keys.
   int rise_threshold = 1;
-  bool scrape_metrics = true;
-  // Seed for the deterministic ±20% cadence jitter (net::JitterIntervalMs).
-  uint64_t jitter_seed = 0x5851f42d4c957f2dull;
 };
 
 class HealthProber {
  public:
+  // Deadline of one /healthz or /metrics GET; a shard slower than
+  // this counts as a failed probe.
+  static constexpr uint64_t kTimeoutMs = 1000;
+  // Seed of the ±20% cadence jitter (net::JitterIntervalMs); fixed so
+  // runs are repeatable.
+  static constexpr uint64_t kJitterSeed = 0x5851f42d4c957f2dull;
+
   // Backends outlive the prober; their health flags are its output.
   HealthProber(std::vector<Backend*> backends, ProbeConfig config);
   ~HealthProber();

@@ -1,7 +1,6 @@
 #include "cluster/replication.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/failpoints.h"
 
@@ -24,7 +23,7 @@ void Replicator::Start() {
     if (!workers_.empty()) return;  // already running
     stopping_ = false;
   }
-  for (size_t i = 0; i < config_.worker_threads; ++i) {
+  for (size_t i = 0; i < kWorkerThreads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   sweep_thread_ = std::thread([this] { SweepLoop(); });
@@ -41,27 +40,11 @@ void Replicator::Stop() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  workers_.clear();
   if (sweep_thread_.joinable()) sweep_thread_.join();
-}
-
-void Replicator::NoteKey(std::string_view key) {
+  // Under mu_: EnqueueJob reads workers_ there, from a sweep or from a
+  // router handler thread.
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) {
-    keys_.insert(it, std::string(key));
-  }
-}
-
-void Replicator::ForgetKey(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it != keys_.end() && *it == key) keys_.erase(it);
-}
-
-size_t Replicator::known_keys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return keys_.size();
+  workers_.clear();
 }
 
 void Replicator::EnqueueFanout(std::string_view key, size_t target,
@@ -92,7 +75,7 @@ void Replicator::EnqueueJob(std::string_view key, size_t target,
       return;
     }
   }
-  if (queue_.size() >= config_.max_queue) {
+  if (queue_.size() >= kMaxQueue) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -122,7 +105,7 @@ void Replicator::WorkerLoop() {
       const Job& job = queue_[i];
       // The per-shard cap keeps one slow target from monopolizing the
       // workers; capped jobs re-dispatch when a send completes.
-      if (inflight_[job.target] >= config_.max_inflight_per_shard) continue;
+      if (inflight_[job.target] >= kMaxInflightPerShard) continue;
       if (job.due > now) {
         next_due = std::min(next_due, job.due);
         continue;
@@ -209,26 +192,11 @@ void Replicator::SweepNow() {
   idle_cv_.notify_all();
 }
 
-void Replicator::SweepPass() {
-  std::lock_guard<std::mutex> serial(sweep_serial_mu_);
-  if (config_.factor <= 1) return;  // replication off: nothing to repair
+Replicator::Holders Replicator::Inventory() const {
   const size_t n = backends_.size();
-  std::vector<bool> alive(n);
-  for (size_t i = 0; i < n; ++i) alive[i] = backends_[i]->alive();
-
-  // The key universe: the router's index UNION what the shards report
-  // holding. The union matters after a router restart — the index is
-  // empty but the tapes are out there, and they still deserve repair.
-  std::map<std::string, std::vector<bool>> holders;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& key : keys_) {
-      holders.emplace(key, std::vector<bool>(n, false));
-    }
-  }
-  std::vector<std::string> learned;
+  Holders holders;
   for (size_t i = 0; i < n; ++i) {
-    if (!alive[i]) continue;
+    if (!backends_[i]->alive()) continue;
     Result<net::Response> response = backends_[i]->Request("REPLSTATUS");
     if (!response.ok() || !response->status.ok()) continue;
     for (const std::string& line : response->lines) {
@@ -236,28 +204,24 @@ void Replicator::SweepPass() {
       size_t end = line.find(' ', 4);
       std::string name = line.substr(4, end - 4);
       if (name.empty()) continue;
-      auto it = holders.find(name);
-      if (it == holders.end()) {
-        it = holders.emplace(std::move(name), std::vector<bool>(n, false))
-                 .first;
-        learned.push_back(it->first);
-      }
+      auto it = holders.try_emplace(std::move(name), n, false).first;
       it->second[i] = true;
     }
   }
-  for (const std::string& name : learned) NoteKey(name);
+  return holders;
+}
 
+void Replicator::SweepPass() {
+  std::lock_guard<std::mutex> serial(sweep_serial_mu_);
+  if (config_.factor <= 1) return;  // replication off: nothing to repair
+  Holders holders = Inventory();
+  std::vector<bool> alive(backends_.size());
+  for (size_t i = 0; i < alive.size(); ++i) alive[i] = backends_[i]->alive();
   for (const auto& [key, held] : holders) {
-    std::vector<size_t> owners = map_->Owners(key, config_.factor, alive);
-    size_t source = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (alive[i] && held[i]) {
-        source = i;
-        break;
-      }
-    }
-    if (source == n) continue;  // no live copy anywhere: nothing to pull
-    for (size_t owner : owners) {
+    // Inventory lists only names some live shard answered for.
+    auto source = static_cast<size_t>(
+        std::find(held.begin(), held.end(), true) - held.begin());
+    for (size_t owner : map_->Owners(key, config_.factor, alive)) {
       if (held[owner]) continue;
       EnqueueRepair(key, owner, backends_[source]->address());
     }

@@ -28,13 +28,15 @@
 // of a queued pair replaces its wire line, so a re-RECORD supersedes
 // the stale bytes instead of racing them.
 //
-// Anti-entropy (SweepNow): build the key universe from the router's
-// key index UNION every live shard's REPLSTATUS inventory (so
-// documents recorded before a router restart are still repairable),
-// compute each key's owner set under the current liveness mask, and
-// enqueue a repair for every owner that is missing the tape, sourcing
-// from any live holder. The router triggers a sweep (RequestSweep)
-// after every health-probe pass that changed the liveness mask.
+// Anti-entropy (SweepNow): gather every live shard's REPLSTATUS
+// inventory (Inventory), compute each document's owner set under the
+// current liveness mask, and enqueue a repair for every owner that is
+// missing the tape, sourcing from a live holder. The inventories are
+// the cluster's only record of which documents exist, so a router
+// that never saw a RECORD (a restart, or a peer's client) repairs
+// exactly as the router that took it. The router triggers a sweep
+// (RequestSweep) after every health-probe pass that changed the
+// liveness mask.
 //
 // Determinism hooks for tests and benches: construct with
 // start_workers=false to freeze the queue (jobs accumulate, nothing
@@ -48,6 +50,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -64,16 +67,10 @@ struct ReplicationConfig {
   // Copies of every tape, primary included. 1 = replication off: the
   // router behaves byte-for-byte like the pre-replication tier.
   size_t factor = 1;
-  // Queued jobs beyond this are dropped (counted failed); the sweep
-  // re-detects and re-enqueues what mattered.
-  size_t max_queue = 4096;
-  // Concurrent sends per target shard.
-  size_t max_inflight_per_shard = 2;
   // Send attempts per job before it is dropped (counted failed).
   int max_attempts = 4;
   // Base retry backoff; doubles per attempt.
   uint64_t retry_backoff_ms = 25;
-  size_t worker_threads = 2;
   // Start worker + sweep threads immediately. Tests freeze the fanout
   // queue with false and release it later with Start().
   bool start_workers = true;
@@ -81,6 +78,15 @@ struct ReplicationConfig {
 
 class Replicator {
  public:
+  // Queued jobs beyond this are dropped (counted failed); the sweep
+  // re-detects and re-enqueues what mattered.
+  static constexpr size_t kMaxQueue = 4096;
+  // Concurrent sends per target shard, so one slow shard cannot hold
+  // every worker.
+  static constexpr size_t kMaxInflightPerShard = 2;
+  // Sender threads: each send is one network round trip, not CPU.
+  static constexpr size_t kWorkerThreads = 2;
+
   // `map` and `backends` outlive the replicator (both owned by the
   // Router that owns this).
   Replicator(const ShardMap* map, std::vector<Backend*> backends,
@@ -93,14 +99,13 @@ class Replicator {
   void Start();
   void Stop();
 
-  // --- key index ------------------------------------------------------
-  // Records that `key` exists in the cluster (RECORD accepted). The
-  // index seeds the sweep universe; it is advisory, not authoritative —
-  // sweeps also learn keys from shard inventories.
-  void NoteKey(std::string_view key);
-  // EVICT accepted: stop repairing this key.
-  void ForgetKey(std::string_view key);
-  size_t known_keys() const;
+  // --- inventory ------------------------------------------------------
+  // Which shards hold which documents: one REPLSTATUS to each live
+  // shard, keyed by document name, each value indexed by shard. A shard
+  // that is dead or does not answer holds nothing, so every name has at
+  // least one holder.
+  using Holders = std::map<std::string, std::vector<bool>>;
+  Holders Inventory() const;
 
   // --- jobs -----------------------------------------------------------
   // Replay `record_line` (a full "RECORD <key> <bytes>" wire line) to
@@ -163,7 +168,6 @@ class Replicator {
   std::deque<Job> queue_;
   std::vector<size_t> inflight_;  // per target shard
   size_t inflight_total_ = 0;
-  std::vector<std::string> keys_;  // sorted unique key index
   bool stopping_ = false;
   bool sweep_requested_ = false;
   int active_sweeps_ = 0;

@@ -28,7 +28,7 @@ void RelayReply(std::string* out, const net::Response& response) {
 template <typename Attempt>
 bool Router::WalkOwners(std::string_view key, Attempt attempt) {
   std::vector<bool> mask = AliveMask();
-  for (int tries = 0; tries <= config_.max_failover_attempts; ++tries) {
+  for (int tries = 0; tries <= kMaxFailoverAttempts; ++tries) {
     std::optional<size_t> owner = map_.Owner(key, mask);
     if (!owner.has_value()) return false;
     if (attempt(*owner)) return true;
@@ -394,15 +394,12 @@ bool RouterHandler::HandleLine(std::string_view input, std::string* out) {
         ReplyStatus(out, response.status());
         break;
       }
-      if (response->status.ok()) {
-        router_->IndexKey(name, /*recorded=*/true);
-        if (router_->replication_factor() >= 2) {
-          std::vector<size_t> owners = router_->shard_map().Owners(
-              name, router_->replication_factor(), router_->AliveMask());
-          for (size_t owner : owners) {
-            if (owner == answered) continue;
-            router_->replicator()->EnqueueFanout(name, owner, input);
-          }
+      if (response->status.ok() && router_->replication_factor() >= 2) {
+        std::vector<size_t> owners = router_->shard_map().Owners(
+            name, router_->replication_factor(), router_->AliveMask());
+        for (size_t owner : owners) {
+          if (owner == answered) continue;
+          router_->replicator()->EnqueueFanout(name, owner, input);
         }
       }
       RelayReply(out, *response);
@@ -422,20 +419,12 @@ bool RouterHandler::HandleLine(std::string_view input, std::string* out) {
       }
       std::optional<net::Response> best;
       Status transport = Status::OK();
-      bool forgotten = false;
       for (size_t owner : owners) {
         Result<net::Response> response =
             router_->backend(owner)->Request(input);
         if (!response.ok()) {
           transport = response.status();
           continue;
-        }
-        // A shard answered for the key, evicted or already missing:
-        // the index forgets it, once.
-        if (!forgotten && (response->status.ok() ||
-                           response->status.code() == StatusCode::kNotFound)) {
-          router_->IndexKey(name, /*recorded=*/false);
-          forgotten = true;
         }
         if (!best.has_value() ||
             (!best->status.ok() && response->status.ok())) {
@@ -467,12 +456,13 @@ bool RouterHandler::HandleLine(std::string_view input, std::string* out) {
       }
       break;
     case net::Verb::kReplStatus: {
+      // keys= counts the distinct documents the live shards hold.
+      size_t keys = router_->replicator()->Inventory().size();
       Replicator::Counters repl = router_->replicator()->counters();
       Reply(out,
             "REPL factor=" +
                 std::to_string(router_->replication_factor()) +
-                " keys=" +
-                std::to_string(router_->replicator()->known_keys()) +
+                " keys=" + std::to_string(keys) +
                 " pending=" + std::to_string(repl.pending) +
                 " repaired=" + std::to_string(repl.repaired) +
                 " failed=" + std::to_string(repl.failed) +
@@ -543,9 +533,8 @@ Result<std::unique_ptr<Router>> Router::Create(RouterConfig config) {
   if (router->config_.gossip.enable || !router->config_.gossip.peers.empty()) {
     std::vector<Backend*> gossip_raw;
     for (auto& backend : router->backends_) gossip_raw.push_back(backend.get());
-    router->gossip_ = std::make_unique<GossipAgent>(
-        std::move(gossip_raw), router->replicator_.get(),
-        router->config_.gossip);
+    router->gossip_ = std::make_unique<GossipAgent>(std::move(gossip_raw),
+                                                     router->config_.gossip);
     // Locally observed health transitions flow through the digest so
     // each one gets an epoch and propagates; the agent applies the
     // Backend flag itself.
@@ -564,7 +553,7 @@ Result<std::unique_ptr<Router>> Router::Create(RouterConfig config) {
 
 Router::~Router() {
   if (prober_ != nullptr) prober_->Stop();  // before its apply/sweep callbacks die
-  if (gossip_ != nullptr) gossip_->Stop();  // before the replicator it feeds
+  if (gossip_ != nullptr) gossip_->Stop();
   if (replicator_ != nullptr) replicator_->Stop();
   {
     std::lock_guard<std::mutex> lock(cancel_mu_);
@@ -622,22 +611,6 @@ Result<size_t> Router::PickSessionShard() const {
 
 std::optional<size_t> Router::OwnerOf(std::string_view key) const {
   return map_.Owner(key, AliveMask());
-}
-
-void Router::IndexKey(std::string_view key, bool recorded) {
-  // The gossip agent forwards to the replicator, so with gossip on
-  // this one call updates both.
-  if (gossip_ != nullptr) {
-    if (recorded) {
-      gossip_->NoteKey(key);
-    } else {
-      gossip_->ForgetKey(key);
-    }
-  } else if (recorded) {
-    replicator_->NoteKey(key);
-  } else {
-    replicator_->ForgetKey(key);
-  }
 }
 
 Result<net::Response> Router::OwnerRequest(std::string_view key,

@@ -134,9 +134,6 @@ struct RouterConfig {
   size_t vnodes = 64;
   BackendConfig backend;
   ProbeConfig probe;
-  // Cross-shard failover attempts for idempotent owner-routed verbs
-  // (on top of the in-client per-shard retries).
-  int max_failover_attempts = 2;
   // Start the background prober thread. Tests and benches that want
   // deterministic health transitions set false and call ProbeNow().
   bool start_prober = true;
@@ -156,6 +153,11 @@ struct RouterConfig {
 
 class Router {
  public:
+  // Cross-shard failover attempts for idempotent owner-routed verbs
+  // (on top of the in-client per-shard retries): with rf <= 3 that
+  // reaches every owner.
+  static constexpr int kMaxFailoverAttempts = 2;
+
   static Result<std::unique_ptr<Router>> Create(RouterConfig config);
   ~Router();
 
@@ -196,11 +198,6 @@ class Router {
   Result<net::Response> OwnerRequest(std::string_view key,
                                      std::string_view line,
                                      size_t* shard_out = nullptr);
-
-  // Notes a recorded key (or forgets an evicted one) in the router's
-  // key index: through the gossip digest when gossip is on, so peer
-  // routers learn it too, else in the replicator alone.
-  void IndexKey(std::string_view key, bool recorded);
 
   // --- scatter-gather -------------------------------------------------
   service::StatsSnapshot ClusterStats();
@@ -248,7 +245,7 @@ class Router {
   // Tries `key`'s live ring owners in walk order until `attempt(shard)`
   // returns true, and returns whether one did. An owner whose attempt
   // returns false is skipped for the rest of the walk and counted in
-  // failovers_total; the walk ends after 1 + max_failover_attempts
+  // failovers_total; the walk ends after 1 + kMaxFailoverAttempts
   // owners or when no live owner is left.
   template <typename Attempt>
   bool WalkOwners(std::string_view key, Attempt attempt);

@@ -15,6 +15,10 @@ uint64_t NextRandom(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+// Parses XSQ_FAILPOINTS at startup: Fire's fast path does not touch
+// Instance(), so nothing else would.
+[[maybe_unused]] const FailPoints& armed_from_env = FailPoints::Instance();
+
 }  // namespace
 
 FailPoints& FailPoints::Instance() {
@@ -37,6 +41,7 @@ FailPoints& FailPoints::Instance() {
 void FailPoints::Arm(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_[std::string(name)] = State{};
+  NoteArmedLocked();
 }
 
 void FailPoints::ArmProbability(std::string_view name, double p,
@@ -47,6 +52,7 @@ void FailPoints::ArmProbability(std::string_view name, double p,
   state.rng = seed ^ 0x5DEECE66Dull;
   std::lock_guard<std::mutex> lock(mu_);
   armed_[std::string(name)] = state;
+  NoteArmedLocked();
 }
 
 void FailPoints::ArmAfter(std::string_view name, uint64_t n) {
@@ -55,23 +61,26 @@ void FailPoints::ArmAfter(std::string_view name, uint64_t n) {
   state.after = n;
   std::lock_guard<std::mutex> lock(mu_);
   armed_[std::string(name)] = state;
+  NoteArmedLocked();
 }
 
 void FailPoints::Disarm(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.erase(std::string(name));
+  NoteArmedLocked();
 }
 
 void FailPoints::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.clear();
+  NoteArmedLocked();
 }
 
-bool FailPoints::Fire(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (armed_.empty()) return false;  // fast path: nothing armed at all
-  auto it = armed_.find(std::string(name));
-  if (it == armed_.end()) return false;
+bool FailPoints::FireArmed(std::string_view name) {
+  FailPoints& fp = Instance();
+  std::lock_guard<std::mutex> lock(fp.mu_);
+  auto it = fp.armed_.find(std::string(name));
+  if (it == fp.armed_.end()) return false;
   State& state = it->second;
   uint64_t hit = state.hits++;
   switch (state.mode) {

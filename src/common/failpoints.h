@@ -7,8 +7,9 @@
 //   XSQ_FAILPOINT("tape.load.short_read",
 //                 return Status::DataCorruption("injected short read"));
 //
-// Sites are inert (a mutex-guarded hash probe, test builds only) until a
-// test or the environment arms them:
+// Every build compiles every site. A site is inert until a test or the
+// environment arms one: while nothing is armed it costs one relaxed
+// atomic load, with no lock and no allocation.
 //
 //   FailPoints::Instance().Arm("tape.load.short_read");        // always
 //   FailPoints::Instance().ArmProbability("x", 0.25, seed);    // p = 0.25
@@ -16,16 +17,15 @@
 //
 // or  XSQ_FAILPOINTS="tape.load.short_read=1,x=p0.25,y=after3" xsqd ...
 //
-// Under -DXSQ_FAILPOINTS=OFF (the default) the macro expands to nothing
-// and the sites do not exist in the binary; tools/check.sh's failpoint
-// leg builds with -DXSQ_FAILPOINTS=ON and runs the fault-injection test
-// under ASan, proving every armed site surfaces as a clean per-session
-// Status rather than a crash, deadlock, or leak. kFailPointCatalog
-// enumerates every site compiled into the library so that test can arm
-// them all without grepping the sources.
+// The fault-injection test runs in every tree tools/check.sh builds
+// (plain, TSan, ASan, UBSan), proving every armed site surfaces as a
+// clean per-session Status rather than a crash, deadlock, or leak.
+// kFailPointCatalog enumerates every site in the library so that test
+// can arm them all without grepping the sources.
 #ifndef XSQ_COMMON_FAILPOINTS_H_
 #define XSQ_COMMON_FAILPOINTS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -36,12 +36,6 @@
 #include "common/status.h"
 
 namespace xsq {
-
-#if XSQ_FAILPOINTS_ENABLED
-inline constexpr bool kFailPointsCompiledIn = true;
-#else
-inline constexpr bool kFailPointsCompiledIn = false;
-#endif
 
 // Every failpoint site in the library, one entry per XSQ_FAILPOINT
 // call. Keep in sync when adding sites; the fault-injection test walks
@@ -79,7 +73,10 @@ class FailPoints {
   void DisarmAll();
 
   // The site call: true if `name` is armed and triggers on this hit.
-  bool Fire(std::string_view name);
+  // With nothing armed anywhere it returns after one relaxed load.
+  static bool Fire(std::string_view name) {
+    return any_armed_.load(std::memory_order_relaxed) && FireArmed(name);
+  }
 
   // Hits observed at `name` since it was last armed (armed sites only).
   uint64_t hits(std::string_view name) const;
@@ -102,25 +99,30 @@ class FailPoints {
 
   FailPoints() = default;
 
+  // Fire's slow path, out of line and cold so a site adds one load and
+  // one branch to its function.
+  [[gnu::cold, gnu::noinline]] static bool FireArmed(std::string_view name);
+  // Publishes armed_'s emptiness to Fire's fast path; mu_ held.
+  void NoteArmedLocked() {
+    any_armed_.store(!armed_.empty(), std::memory_order_relaxed);
+  }
+
+  // Set while armed_ is non-empty. Static, so the unarmed fast path
+  // reads it without touching Instance().
+  static inline std::atomic<bool> any_armed_{false};
+
   mutable std::mutex mu_;
   std::unordered_map<std::string, State> armed_;
 };
 
 // Expands a fault-injection site. `...` is the statement to execute
-// when the site fires (typically `return Status::...(...)`). Compiled
-// out entirely unless the build sets XSQ_FAILPOINTS_ENABLED.
-#if XSQ_FAILPOINTS_ENABLED
-#define XSQ_FAILPOINT(name, ...)                         \
-  do {                                                   \
-    if (::xsq::FailPoints::Instance().Fire(name)) {      \
-      __VA_ARGS__;                                       \
-    }                                                    \
+// when the site fires (typically `return Status::...(...)`).
+#define XSQ_FAILPOINT(name, ...)                      \
+  do {                                                \
+    if (::xsq::FailPoints::Fire(name)) [[unlikely]] { \
+      __VA_ARGS__;                                    \
+    }                                                 \
   } while (false)
-#else
-#define XSQ_FAILPOINT(name, ...) \
-  do {                           \
-  } while (false)
-#endif
 
 }  // namespace xsq
 

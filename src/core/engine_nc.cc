@@ -72,8 +72,7 @@ void XsqNcEngine::SatisfyPredicate(size_t entry_index, uint32_t bit) {
 }
 
 XsqNcEngine::NcItem* XsqNcEngine::MakeItem() {
-  queue_.push_back(std::make_unique<NcItem>());
-  return queue_.back().get();
+  return &queue_.emplace_back();
 }
 
 void XsqNcEngine::AttachItem(NcItem* item) {
@@ -92,7 +91,7 @@ void XsqNcEngine::AppendToItem(NcItem* item, std::string_view data) {
 
 void XsqNcEngine::EmitReadyItems() {
   while (!queue_.empty()) {
-    NcItem* front = queue_.front().get();
+    NcItem* front = &queue_.front();
     if (front->state == ItemState::kPending) break;
     if (front->state == ItemState::kSelected) {
       if (!front->complete) break;

@@ -78,7 +78,9 @@ class XsqNcEngine final : public StreamingEngine {
   size_t num_steps_;
 
   std::vector<NcEntry> stack_;
-  std::deque<std::unique_ptr<NcItem>> queue_;
+  // Items by value: a deque keeps references valid across pushes and
+  // pops at its ends, so NcItem* in held/aggregate_item stay good.
+  std::deque<NcItem> queue_;
   NcItem* serializing_item_ = nullptr;  // catchall output in progress
   int serialization_depth_ = 0;         // begin depth of that element
 };

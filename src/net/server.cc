@@ -251,7 +251,7 @@ void Server::AcceptPendingLocked() {
     // Only the hard fd cap — capacity plus the probe allowance — sheds
     // at accept, bounding descriptors a flood can pin.
     bool shed =
-        conns_.size() >= config_.max_connections + config_.probe_slack;
+        conns_.size() >= config_.max_connections + kProbeSlack;
     XSQ_FAILPOINT("net.accept.shed", shed = true);
     if (shed) {
       // Best effort: tell the peer why before closing. A full socket
@@ -417,7 +417,7 @@ void Server::SplitLinesLocked(const std::shared_ptr<Connection>& conn) {
     conn->overran = true;  // unbounded line still streaming in
   }
   if (!conn->overran &&
-      conn->pending_lines.size() > config_.max_pending_lines) {
+      conn->pending_lines.size() > kMaxPendingLines) {
     conn->overran = true;  // command flood: the peer is not reading replies
   }
   if (conn->overran) {

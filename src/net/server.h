@@ -60,7 +60,7 @@
 // while the server sheds still gets its HTTP answer (503 "shedding" /
 // 200 with the exposition) instead of a raw "ERR ResourceExhausted" +
 // close — exactly what a cluster front tier needs to tell "shedding"
-// apart from "dead". A hard ceiling of max_connections + probe_slack
+// apart from "dead". A hard ceiling of max_connections + kProbeSlack
 // total sockets still bounds fd usage; beyond it everything sheds at
 // accept, probes included.
 //
@@ -139,11 +139,6 @@ struct ServerConfig {
   // (the reply-then-close happens at transport sniff, so HTTP probes
   // are still served while shedding).
   size_t max_connections = 64;
-  // Extra sockets beyond max_connections kept available for HTTP
-  // probes (health checks, metrics scrapers) and not-yet-sniffed
-  // peers. Total sockets are hard-capped at max_connections +
-  // probe_slack; beyond that everything sheds at accept.
-  size_t probe_slack = 8;
   // A protocol line larger than this closes the connection with ERR
   // (the stdin transport discards the command but keeps serving; a
   // socket peer that overruns is assumed broken or hostile).
@@ -151,9 +146,6 @@ struct ServerConfig {
   // Buffered-but-unsent response bytes beyond this close the
   // connection (slow reader / unread METRICS floods).
   size_t max_output_buffer_bytes = 4u << 20;  // 4 MiB
-  // Parsed-but-unexecuted command lines beyond this close the
-  // connection (a peer must not use the server as an unbounded queue).
-  size_t max_pending_lines = 1024;
   // No bytes read or written for this long closes the connection
   // (idle peers, half-open TCP). 0 disables.
   uint64_t idle_timeout_ms = 30000;
@@ -202,6 +194,14 @@ class Server {
 
   // Live established connections (excludes the listener).
   size_t connection_count() const;
+
+  // Extra sockets beyond max_connections kept for HTTP probes (health
+  // checks, metrics scrapers) and not-yet-sniffed peers, so probes
+  // are answered while sessions shed; beyond that everything sheds.
+  static constexpr size_t kProbeSlack = 8;
+  // Parsed-but-unexecuted command lines beyond this close the
+  // connection: a peer must not use the server as an unbounded queue.
+  static constexpr size_t kMaxPendingLines = 1024;
 
  private:
   // The async EVENT path between the service's dispatcher threads and

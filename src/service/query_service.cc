@@ -29,9 +29,8 @@ QueryService::QueryService(ServiceConfig config)
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   pubsub_.set_parser_limits(config_.parser_limits);
-  int dispatchers = config_.num_dispatchers < 1 ? 1 : config_.num_dispatchers;
-  dispatchers_.reserve(static_cast<size_t>(dispatchers));
-  for (int i = 0; i < dispatchers; ++i) {
+  dispatchers_.reserve(kNumDispatchers);
+  for (size_t i = 0; i < kNumDispatchers; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });
   }
 }

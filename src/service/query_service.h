@@ -132,9 +132,6 @@ struct ServiceConfig {
   // (with one ERR notice per shed episode); Publish never blocks on a
   // slow subscriber.
   size_t max_subscriber_queue_frames = 1024;
-  // Threads fanning queued EVENT frames out to subscriber sinks.
-  // At least 1.
-  int num_dispatchers = 2;
 };
 
 class QueryService {
@@ -144,6 +141,10 @@ class QueryService {
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
+
+  // Threads fanning queued EVENT frames out to subscriber sinks; a
+  // second one keeps fan-out going while one sits in a slow sink.
+  static constexpr size_t kNumDispatchers = 2;
 
   // Compiles (or fetches from the plan cache) `query_text` and opens a
   // session for it. ResourceExhausted when at max_sessions.

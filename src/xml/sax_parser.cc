@@ -93,6 +93,13 @@ bool IsWhitespaceOnly(std::string_view s) {
   return true;
 }
 
+// The xml.parse.io_error failpoint's status, out of line: built inline
+// in Feed, its string construction changed how GCC 12 inlines
+// ParseElementTag, and ext_scan's DBLP parse ran about 5% slower.
+[[gnu::cold, gnu::noinline]] Status InjectedIoError() {
+  return Status::Internal("injected I/O error reading input");
+}
+
 }  // namespace
 
 SaxParser::SaxParser(SaxHandler* handler, ParserLimits limits)
@@ -792,8 +799,7 @@ Status SaxParser::ParseBuffer(std::string_view data, size_t* consumed,
 }
 
 Status SaxParser::Feed(std::string_view chunk) {
-  XSQ_FAILPOINT("xml.parse.io_error",
-                return Status::Internal("injected I/O error reading input"));
+  XSQ_FAILPOINT("xml.parse.io_error", return InjectedIoError());
   if (finished_) {
     return Status::Internal("Feed called after Finish");
   }

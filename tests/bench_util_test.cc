@@ -112,7 +112,8 @@ TEST(TimingTest, PairedRoundsAlternateWhichLegRunsFirst) {
   std::string order;
   PairedTiming timing =
       TimePaired(4, [&order] { order += 'a'; }, [&order] { order += 'b'; });
-  EXPECT_EQ(order, "abbaabba");
+  // Each turn is an untimed warm-up run, then the timed run.
+  EXPECT_EQ(order, "aabbbbaaaabbbbaa");
   EXPECT_EQ(timing.a_seconds.size(), 4u);
   EXPECT_EQ(timing.b_seconds.size(), 4u);
 }

@@ -1,9 +1,8 @@
 // Fault-injection hardening: every failpoint in kFailPointCatalog,
 // armed one at a time and all together, must surface as a clean
 // per-session Status — never a crash, hang, leak, or contamination of a
-// sibling session. tools/check.sh runs this binary in its ASan and TSan
-// legs with -DXSQ_FAILPOINTS=ON; in default builds the sites are
-// compiled out and the site-dependent tests skip.
+// sibling session. Every build compiles the sites, so this binary runs
+// in each tree tools/check.sh builds, ASan and TSan included.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,8 +27,6 @@ using service::QueryService;
 using service::ServiceConfig;
 
 // ------------------------------------------------ registry semantics
-// The FailPoints registry itself exists in every build (only the sites
-// are compiled out), so its semantics are testable unconditionally.
 
 TEST(FailPointsRegistryTest, UnarmedNamesNeverFire) {
   FailPoints& fp = FailPoints::Instance();
@@ -88,12 +85,7 @@ TEST(FailPointsRegistryTest, EnvSpecParses) {
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!kFailPointsCompiledIn) {
-      GTEST_SKIP() << "built with -DXSQ_FAILPOINTS=OFF";
-    }
-    FailPoints::Instance().DisarmAll();
-  }
+  void SetUp() override { FailPoints::Instance().DisarmAll(); }
   void TearDown() override { FailPoints::Instance().DisarmAll(); }
 };
 

@@ -4,17 +4,17 @@
 // merge is a join in a total order, so it must be commutative,
 // associative, and idempotent under arbitrary digests), the wire
 // format's CRC discipline, and the GossipAgent's epoch bookkeeping:
-// local observations out-epoch everything seen, push-pull exchanges
-// converge two disagreeing agents in one round, key tombstones never
-// resurrect.
+// local observations out-epoch everything seen, and push-pull
+// exchanges converge two disagreeing agents in one round.
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cluster/backend_pool.h"
 #include "cluster/gossip.h"
-#include "cluster/replication.h"
 #include "cluster/shard_map.h"
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "gtest/gtest.h"
@@ -27,28 +27,18 @@ using cluster::BackendConfig;
 using cluster::GossipAgent;
 using cluster::GossipConfig;
 using cluster::GossipDigest;
-using cluster::ReplicationConfig;
-using cluster::Replicator;
 using cluster::ShardHealth;
 using cluster::ShardMap;
 
 // A digest with every field drawn from the rng: epochs collide on
 // purpose (small range) so the tie-break arms of the merge actually
-// run, and keys come from a small shared pool so two random digests
-// overlap as well as differ.
+// run.
 GossipDigest RandomDigest(SplitMix64& rng, size_t num_shards) {
   GossipDigest digest;
   digest.shards.resize(num_shards);
   for (auto& shard : digest.shards) {
     shard.epoch = rng.Below(6);
     shard.health = static_cast<ShardHealth>(rng.Below(4));
-  }
-  for (int k = 0; k < 8; ++k) {
-    if (rng.Below(2) == 0) continue;  // each key present ~half the time
-    GossipDigest::KeyEntry entry;
-    entry.epoch = rng.Below(6);
-    entry.deleted = rng.Below(2) == 0;
-    digest.keys["key-" + std::to_string(k)] = entry;
   }
   return digest;
 }
@@ -60,7 +50,6 @@ GossipDigest Merge(GossipDigest a, const GossipDigest& b) {
 
 TEST(GossipDigestTest, SupersedesOrdersByEpochThenSeverity) {
   using ShardEntry = GossipDigest::ShardEntry;
-  using KeyEntry = GossipDigest::KeyEntry;
   // Strictly newer epoch wins regardless of value.
   EXPECT_TRUE(GossipDigest::Supersedes(ShardEntry{2, ShardHealth::kServing},
                                        ShardEntry{1, ShardHealth::kDead}));
@@ -76,10 +65,6 @@ TEST(GossipDigestTest, SupersedesOrdersByEpochThenSeverity) {
   // Identical entries do not supersede each other (idempotence).
   EXPECT_FALSE(GossipDigest::Supersedes(ShardEntry{3, ShardHealth::kDead},
                                         ShardEntry{3, ShardHealth::kDead}));
-  // Keys: tombstone wins the equal-epoch tie, so an EVICT observed by
-  // one router cannot be resurrected by a peer's stale live entry.
-  EXPECT_TRUE(GossipDigest::Supersedes(KeyEntry{4, true}, KeyEntry{4, false}));
-  EXPECT_FALSE(GossipDigest::Supersedes(KeyEntry{4, false}, KeyEntry{4, true}));
 }
 
 TEST(GossipDigestTest, MergeIsCommutative) {
@@ -129,12 +114,6 @@ TEST(GossipDigestTest, MergeNeverLowersAnEpoch) {
       EXPECT_GE(joined.shards[i].epoch, a.shards[i].epoch);
       EXPECT_GE(joined.shards[i].epoch, b.shards[i].epoch);
     }
-    for (const auto& [key, entry] : a.keys) {
-      EXPECT_GE(joined.keys.at(key).epoch, entry.epoch) << key;
-    }
-    for (const auto& [key, entry] : b.keys) {
-      EXPECT_GE(joined.keys.at(key).epoch, entry.epoch) << key;
-    }
   }
 }
 
@@ -173,20 +152,11 @@ TEST(GossipDigestTest, WireRoundTripIsExact) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(*decoded, digest);
   }
-  // Keys with protocol-hostile bytes survive the single-token wire
-  // form (the verb carries the whole block LineEscape'd).
-  GossipDigest hostile;
-  hostile.shards.resize(1);
-  hostile.keys["k with spaces\nand newlines\\"] = {7, false};
-  auto decoded = GossipDigest::DecodeWire(hostile.EncodeWire());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, hostile);
 }
 
 TEST(GossipDigestTest, CorruptOrTruncatedWireIsRejected) {
   SplitMix64 rng(0xbad);
   GossipDigest digest = RandomDigest(rng, 3);
-  digest.keys["anchor"] = {1, false};
   std::string text = digest.Serialize();
 
   // Any flipped payload byte trips the CRC trailer.
@@ -202,8 +172,20 @@ TEST(GossipDigestTest, CorruptOrTruncatedWireIsRejected) {
 
   // Garbage and emptiness are clean errors, not crashes.
   EXPECT_FALSE(GossipDigest::Parse("").ok());
-  EXPECT_FALSE(GossipDigest::Parse("XSQGOSSIP v1 shards=2\n").ok());
+  EXPECT_FALSE(GossipDigest::Parse("XSQGOSSIP v2 shards=2\n").ok());
   EXPECT_FALSE(GossipDigest::DecodeWire("not-a-digest").ok());
+
+  // A v1 block (the format that also carried per-key "K" lines) with a
+  // valid CRC: the header's version alone refuses it, so an exchange
+  // with an old peer fails instead of half-merging.
+  std::string v1 = "XSQGOSSIP v1 shards=1\nS 0 0 serving\n";
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "CRC %08x\n", Crc32c(v1));
+  auto parsed = GossipDigest::Parse(v1 + crc);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(GossipDigest::DecodeWire(LineEscape(v1 + crc)).ok());
+  EXPECT_EQ(text.rfind("XSQGOSSIP v2 shards=3\n", 0), 0u) << text;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +196,6 @@ TEST(GossipDigestTest, CorruptOrTruncatedWireIsRejected) {
 
 struct AgentHarness {
   explicit AgentHarness(size_t num_shards, uint16_t base_port) : map(num_shards, 8) {
-    ReplicationConfig repl_config;
-    repl_config.start_workers = false;
     std::vector<Backend*> raw;
     for (size_t i = 0; i < num_shards; ++i) {
       backends.push_back(std::make_unique<Backend>(
@@ -223,17 +203,14 @@ struct AgentHarness {
           BackendConfig()));
       raw.push_back(backends.back().get());
     }
-    replicator = std::make_unique<Replicator>(&map, raw, repl_config);
     GossipConfig gossip_config;
     gossip_config.enable = true;
     gossip_config.start = false;  // deterministic: tests drive exchanges
-    agent = std::make_unique<GossipAgent>(raw, replicator.get(),
-                                          std::move(gossip_config));
+    agent = std::make_unique<GossipAgent>(raw, std::move(gossip_config));
   }
 
   ShardMap map;
   std::vector<std::unique_ptr<Backend>> backends;
-  std::unique_ptr<Replicator> replicator;
   std::unique_ptr<GossipAgent> agent;
 };
 
@@ -320,35 +297,6 @@ TEST(GossipAgentTest, FresherLocalObservationOutEpochsStaleRemote) {
   EXPECT_EQ(a.backends[0]->health(), ShardHealth::kServing);
   EXPECT_EQ(b.backends[0]->health(), ShardHealth::kServing);
   EXPECT_EQ(a.agent->Snapshot().shards[0].epoch, 2u);
-}
-
-TEST(GossipAgentTest, KeyIndexGossipsAndTombstonesDoNotResurrect) {
-  AgentHarness a(2, 39300);
-  AgentHarness b(2, 39300);
-  a.agent->NoteKey("alpha");
-  a.agent->NoteKey("beta");
-  EXPECT_EQ(a.replicator->known_keys(), 2u);
-
-  // B learns A's keys through the exchange — this is what lets a
-  // surviving router sweep-repair documents it never saw RECORDed.
-  PushPull(a, b);
-  EXPECT_EQ(b.replicator->known_keys(), 2u);
-
-  // An EVICT on A tombstones the key; the exchange removes it from B's
-  // sweep universe too, and re-merging A's old digest cannot bring it
-  // back (tombstone epoch supersedes).
-  a.agent->ForgetKey("alpha");
-  PushPull(a, b);
-  EXPECT_EQ(a.replicator->known_keys(), 1u);
-  EXPECT_EQ(b.replicator->known_keys(), 1u);
-  GossipDigest before = b.agent->Snapshot();
-  ASSERT_TRUE(before.keys.at("alpha").deleted);
-
-  // Re-record after the evict: a fresh epoch revives the key cleanly.
-  a.agent->NoteKey("alpha");
-  PushPull(a, b);
-  EXPECT_EQ(b.replicator->known_keys(), 2u);
-  EXPECT_FALSE(b.agent->Snapshot().keys.at("alpha").deleted);
 }
 
 TEST(GossipAgentTest, ExchangeRejectsTopologyMismatchAndCorruptWire) {

@@ -989,14 +989,11 @@ TEST(NetSoakTest, ConcurrentClientsWithInjectedFaults) {
   server_config.protocol_workers = 4;
   Harness harness(service_config, server_config);
 
-  // Exercise the failpoint-armed error paths too when they are
-  // compiled in (check.sh's failpoint legs): rare injected read/write
-  // failures and forced sheds on top of the organic faults.
-  if (kFailPointsCompiledIn) {
-    FailPoints::Instance().ArmProbability("net.read.fail", 0.02, 7);
-    FailPoints::Instance().ArmProbability("net.write.fail", 0.02, 11);
-    FailPoints::Instance().ArmProbability("net.accept.shed", 0.05, 13);
-  }
+  // Exercise the failpoint-armed error paths too: rare injected
+  // read/write failures and forced sheds on top of the organic faults.
+  FailPoints::Instance().ArmProbability("net.read.fail", 0.02, 7);
+  FailPoints::Instance().ArmProbability("net.write.fail", 0.02, 11);
+  FailPoints::Instance().ArmProbability("net.accept.shed", 0.05, 13);
 
   const std::string big_doc = BigDocument(4000);
   {
@@ -1093,11 +1090,9 @@ TEST(NetSoakTest, ConcurrentClientsWithInjectedFaults) {
   }
   for (std::thread& thread : clients) thread.join();
 
-  if (kFailPointsCompiledIn) {
-    FailPoints::Instance().Disarm("net.read.fail");
-    FailPoints::Instance().Disarm("net.write.fail");
-    FailPoints::Instance().Disarm("net.accept.shed");
-  }
+  FailPoints::Instance().Disarm("net.read.fail");
+  FailPoints::Instance().Disarm("net.write.fail");
+  FailPoints::Instance().Disarm("net.accept.shed");
 
   // The daemon survived; every connection and session is reclaimed.
   EXPECT_TRUE(harness.WaitFor(

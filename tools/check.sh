@@ -18,11 +18,7 @@
 #      under UBSan so numeric edge cases (ParseNumber/FormatNumber
 #      round-trips, histogram bucket arithmetic, shift-heavy automaton
 #      code) are checked for overflow/UB;
-#   5. builds failpoint trees (-DXSQ_FAILPOINTS=ON) under ASan and TSan
-#      and runs the fault-injection suite plus the pub/sub fan-out soak
-#      with every site armable, so each injected early-return path and
-#      the dispatcher's drop/shed paths are leak- and race-checked;
-#   6. when clang is on PATH, builds the libFuzzer harnesses
+#   5. when clang is on PATH, builds the libFuzzer harnesses
 #      (-DXSQ_FUZZ=ON) and runs each target for a bounded stretch over
 #      its seed corpus, so the input-facing decoders get continuous
 #      coverage-guided probing on every change.
@@ -35,16 +31,17 @@
 #      XSQ_SKIP_SIMD_OFF=1 to skip the -DXSQ_SIMD=OFF scanner leg,
 #      ASAN_BUILD_DIR (default build-asan),
 #      UBSAN_BUILD_DIR (default build-ubsan),
-#      FP_ASAN_BUILD_DIR (default build-fp-asan),
-#      FP_TSAN_BUILD_DIR (default build-fp-tsan),
 #      XSQ_SKIP_TSAN=1 to skip the TSan builds (e.g. no libtsan),
 #      XSQ_SKIP_ASAN=1 to skip the ASan builds (e.g. no libasan),
 #      XSQ_SKIP_UBSAN=1 to skip the UBSan build (e.g. no libubsan),
 #      XSQ_SKIP_CLUSTER=1 to skip the cluster process smoke,
-#      XSQ_SKIP_FAILPOINTS=1 to skip the failpoint legs,
 #      XSQ_SKIP_FUZZ=1 to skip the fuzz leg,
 #      FUZZ_BUILD_DIR (default build-fuzz),
 #      XSQ_FUZZ_SECONDS per-target fuzz budget (default 30).
+#
+# Every build compiles the failpoint sites, so each suite run includes
+# the fault-injection tests: the ASan and TSan trees check every
+# injected early-return path for leaks and races.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -52,8 +49,6 @@ build_dir=${BUILD_DIR:-build}
 tsan_dir=${TSAN_BUILD_DIR:-build-tsan}
 asan_dir=${ASAN_BUILD_DIR:-build-asan}
 ubsan_dir=${UBSAN_BUILD_DIR:-build-ubsan}
-fp_asan_dir=${FP_ASAN_BUILD_DIR:-build-fp-asan}
-fp_tsan_dir=${FP_TSAN_BUILD_DIR:-build-fp-tsan}
 filter=${1:-}
 ctest_args=(--output-on-failure -j "$(nproc)")
 if [ -n "$filter" ]; then
@@ -128,41 +123,6 @@ else
   cmake --build "$ubsan_dir" -j "$(nproc)"
   (cd "$ubsan_dir" &&
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ctest "${ctest_args[@]}")
-fi
-
-# Failpoint legs: the fault-injection suite only exercises its sites in
-# -DXSQ_FAILPOINTS=ON builds (it skips elsewhere), so it gets dedicated
-# trees — ASan for leaks on injected early returns, TSan for races in
-# the worker pool's failure paths.
-if [ "${XSQ_SKIP_FAILPOINTS:-0}" = "1" ]; then
-  echo "== failpoint legs skipped (XSQ_SKIP_FAILPOINTS=1)"
-else
-  # ServicePubSub pulls in the fan-out/shed tests and the
-  # 16-subscriber fault-storm soak alongside the failpoint suite;
-  # ClusterReplFailPoints arms the replication send site
-  # (cluster.repl.fail) and checks the anti-entropy sweep heals the
-  # dropped fanouts.
-  fp_filter='FaultInjection|FailPoints|ServicePubSub'
-  if [ "${XSQ_SKIP_ASAN:-0}" != "1" ]; then
-    echo "== failpoints + ASan build ($fp_asan_dir)"
-    cmake -B "$fp_asan_dir" -S . -DXSQ_FAILPOINTS=ON \
-      -DXSQ_SANITIZE=address >/dev/null
-    cmake --build "$fp_asan_dir" -j "$(nproc)" \
-      --target fault_injection_test pubsub_test cluster_test
-    (cd "$fp_asan_dir" &&
-      ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-        ctest --output-on-failure -j "$(nproc)" -R "$fp_filter")
-  fi
-  if [ "${XSQ_SKIP_TSAN:-0}" != "1" ]; then
-    echo "== failpoints + TSan build ($fp_tsan_dir)"
-    cmake -B "$fp_tsan_dir" -S . -DXSQ_FAILPOINTS=ON \
-      -DXSQ_SANITIZE=thread >/dev/null
-    cmake --build "$fp_tsan_dir" -j "$(nproc)" \
-      --target fault_injection_test pubsub_test cluster_test
-    (cd "$fp_tsan_dir" &&
-      TSAN_OPTIONS="halt_on_error=1" \
-        ctest --output-on-failure -j "$(nproc)" -R "$fp_filter")
-  fi
 fi
 
 # Fuzz leg: when clang is available, build the libFuzzer harnesses
